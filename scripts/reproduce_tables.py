@@ -10,6 +10,9 @@ Usage:
 import argparse
 
 from longmem import build_model, eigen_report, run_study
+from longmem._checks import whole
+from longmem.cli import flag_type, n_flag, seed_flag
+from longmem.montecarlo import MIN_REPLICATES
 
 ROW_BETAS = [0.0, 2.2, 3.0, 7.0, 10.0]
 STUDY_BETAS = [2.2, 3.0, 10.0]
@@ -56,9 +59,10 @@ def print_study_table(n, replicates, seed):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--replicates", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--n", type=n_flag, default=200)
+    parser.add_argument("--replicates", default=500,
+                        type=flag_type(int, whole, "replicates", minimum=MIN_REPLICATES))
+    parser.add_argument("--seed", type=seed_flag, default=5)
     args = parser.parse_args()
 
     print_operator_rows(5)

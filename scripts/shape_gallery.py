@@ -23,6 +23,8 @@ from longmem import (
     fit_alpha_from_histogram,
     generate,
 )
+from longmem._checks import whole
+from longmem.cli import bins_flag, flag_type, n_flag, seed_flag
 
 GALLERY_BETAS = [0.001, 2.2, 4.0, 10.0]
 
@@ -58,10 +60,12 @@ def sketch(hist, width=50):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="shapes")
-    parser.add_argument("--replicates", type=int, default=200)
-    parser.add_argument("--n", type=int, default=200)
-    parser.add_argument("--bins", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=5)
+    # accumulate_histogram pools at least one replicate.
+    parser.add_argument("--replicates", default=200,
+                        type=flag_type(int, whole, "replicates", minimum=1))
+    parser.add_argument("--n", type=n_flag, default=200)
+    parser.add_argument("--bins", type=bins_flag, default=100)
+    parser.add_argument("--seed", type=seed_flag, default=5)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)

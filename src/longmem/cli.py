@@ -7,7 +7,8 @@ significant digits so parsing them back reproduces the in-memory values
 bit-for-bit, and a fixed seed makes reruns byte-identical.
 
 Exit codes: 0 success, 2 malformed flags (argparse), 1 runtime error.
-Runtime errors print one machine-readable JSON line on stderr.
+Runtime errors, allocation failures included, print one machine-readable
+JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
+from ._checks import real, whole
 from .errors import InsufficientDataError, LongmemError
-from .estimators import accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import run_study
-from .sampler import GENERATOR, RngStream, generate
-from .spectral import build_grid, build_model, eigen_report
+from .estimators import MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
+from .montecarlo import MIN_WORKERS, run_study
+from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate
+from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_grid, build_model, eigen_report
 
 PROG = "longmem"
 
@@ -52,46 +54,25 @@ class RunConfig:
     dense_oracle: bool = False
 
 
-def _beta_arg(text):
-    value = float(text)
-    if not 0.0 <= value <= 10.0:
-        raise argparse.ArgumentTypeError(f"beta must lie in [0, 10], got {text}")
-    return value
+def flag_type(parse, check, name, **bounds):
+    """Argparse type applying the library's check and bounds to the parsed
+    flag text; a rejected value is a usage error (exit 2)."""
+
+    def convert(text):
+        try:
+            return check(parse(text), name, **bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _n_arg(text):
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"n must be at least 2, got {text}")
-    return value
-
-
-def _seed_arg(text):
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {text}")
-    return value
-
-
-def _count_arg(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be non-negative, got {text}")
-    return value
-
-
-def _bins_arg(text):
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"bins must be at least 2, got {text}")
-    return value
-
-
-def _workers_arg(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {text}")
-    return value
+beta_flag = flag_type(float, real, "beta", low=BETA_MIN, high=BETA_MAX)
+n_flag = flag_type(int, whole, "n", minimum=N_MIN)
+seed_flag = flag_type(int, whole, "seed", limit=SEED_LIMIT)
+replicates_flag = flag_type(int, whole, "replicates")
+bins_flag = flag_type(int, whole, "bins", minimum=MIN_BIN_COUNT)
+workers_flag = flag_type(int, whole, "workers", minimum=MIN_WORKERS)
 
 
 def build_parser():
@@ -100,11 +81,11 @@ def build_parser():
         description="Long-memory series from a circulant convolution operator.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--beta", type=_beta_arg, required=True,
-                        help="spectral exponent in [0, 10]")
-    common.add_argument("--n", type=_n_arg, required=True,
-                        help="requested sample count (>= 2)")
-    common.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED,
+    common.add_argument("--beta", type=beta_flag, required=True,
+                        help=f"spectral exponent in [{BETA_MIN:g}, {BETA_MAX:g}]")
+    common.add_argument("--n", type=n_flag, required=True,
+                        help=f"requested sample count (>= {N_MIN})")
+    common.add_argument("--seed", type=seed_flag, default=DEFAULT_SEED,
                         help="study seed (default %(default)s)")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default %(default)s)")
@@ -122,16 +103,16 @@ def build_parser():
                    help="eigenvalues by rank with summary estimates")
     hist = sub.add_parser("hist", parents=[common],
                           help="pooled histogram of standardized replicates")
-    hist.add_argument("--replicates", type=_count_arg, default=DEFAULT_REPLICATES,
+    hist.add_argument("--replicates", type=replicates_flag, default=DEFAULT_REPLICATES,
                       help="replicate count (default %(default)s)")
-    hist.add_argument("--bins", type=_bins_arg, default=DEFAULT_BINS,
+    hist.add_argument("--bins", type=bins_flag, default=DEFAULT_BINS,
                       help="histogram bin count (default %(default)s)")
     study = sub.add_parser("study", parents=[common],
                            help="replicated study: eigenvalue estimates vs measured statistics")
-    study.add_argument("--replicates", type=_count_arg, default=DEFAULT_REPLICATES,
+    study.add_argument("--replicates", type=replicates_flag, default=DEFAULT_REPLICATES,
                        help="replicate count (default %(default)s)")
-    study.add_argument("--workers", type=_workers_arg, default=None,
-                       help=f"thread count (default ${WORKERS_ENV} or 1); results do not depend on it")
+    study.add_argument("--workers", type=workers_flag, default=None,
+                       help=f"worker count, recorded only (default ${WORKERS_ENV} or 1); replicates run serially")
     return parser
 
 
@@ -141,10 +122,7 @@ def _resolve_workers(flag_value):
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
         return 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return value
+    return whole(int(raw), WORKERS_ENV, MIN_WORKERS)
 
 
 def config_from_args(args):
@@ -214,8 +192,6 @@ def _cmd_eigen(cfg):
 
 
 def _cmd_hist(cfg):
-    if cfg.replicates < 1:
-        raise ValueError(f"hist needs at least 1 replicate, got {cfg.replicates}")
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
     vectors = (
         generate(model, RngStream(seed=cfg.seed, stream_index=i), dense=cfg.dense_oracle).standardized
@@ -298,7 +274,7 @@ def main(argv=None):
     try:
         cfg = config_from_args(args)
         _emit(render(cfg), cfg.output)
-    except (LongmemError, ValueError, OSError) as exc:
+    except (LongmemError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
         )

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalConsistencyError, UnsupportedLengthError
+from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedLengthError
+
+# Largest order the dense O(n^2) routes will allocate.
+DENSE_GUARD = 4096
 
 # Relative ceiling for the imaginary residue left by the fast convolution
 # of real inputs; anything above this means a bookkeeping bug.
@@ -34,6 +37,13 @@ def _as_vector(x, name, *, real=False):
     return arr.astype(complex)
 
 
+def _guard_dense(n, what):
+    if n > DENSE_GUARD:
+        raise ResourceLimitError(
+            f"dense {what} of order {n} exceeds the guard limit {DENSE_GUARD}"
+        )
+
+
 def unitary_dft(x, direction="forward", dense=False):
     """Unitary DFT of a vector, in either direction.
 
@@ -45,7 +55,8 @@ def unitary_dft(x, direction="forward", dense=False):
         Sign of the exponent.  Both directions are scaled by
         ``1/sqrt(len(x))``, so ``inverse`` undoes ``forward`` exactly.
     dense : bool
-        Use the O(n^2) summation oracle instead of the FFT.
+        Use the O(n^2) summation oracle instead of the FFT; refused with
+        ``ResourceLimitError`` above ``DENSE_GUARD``.
 
     Returns
     -------
@@ -65,6 +76,7 @@ def unitary_dft(x, direction="forward", dense=False):
 def _dense_dft(arr, direction):
     # Defining double sum, evaluated against an explicit n x n kernel.
     n = arr.size
+    _guard_dense(n, "transform")
     sign = -1.0 if direction == "forward" else 1.0
     j = np.arange(n)
     kernel = np.exp(sign * 2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
@@ -76,10 +88,12 @@ def circulant_matrix(row):
 
     Multiplying by ``C`` performs the circular convolution with ``row``.
     When the elements of ``row`` after the first form a palindrome, ``C``
-    is symmetric and its first row equals ``row`` itself.
+    is symmetric and its first row equals ``row`` itself.  Orders above
+    ``DENSE_GUARD`` raise ``ResourceLimitError``.
     """
     row = _as_vector(row, "row", real=True)
     n = row.size
+    _guard_dense(n, "circulant matrix")
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return row[idx]
 

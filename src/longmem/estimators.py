@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import whole
 from .errors import DegenerateSampleError, InsufficientDataError
 
 # No law on a bounded interval has variance above range^2 / 4.
 POPOVICIU_LIMIT = 0.25
 
 DEFAULT_BIN_COUNT = 100
+MIN_BIN_COUNT = 2
 
 # Histogram moment fits below this pooled count are noise.
 MIN_FIT_SAMPLES = 10_000
@@ -132,9 +134,7 @@ def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
     -------
     Histogram
     """
-    bin_count = int(bin_count)
-    if bin_count < 2:
-        raise ValueError(f"bin_count must be at least 2, got {bin_count}")
+    bin_count = whole(bin_count, "bin_count", MIN_BIN_COUNT)
     vectors = [np.asarray(s, dtype=float) for s in samples]
     if not vectors:
         raise ValueError("at least one standardized vector is required")

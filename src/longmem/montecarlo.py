@@ -3,20 +3,23 @@ replicates, reported next to the eigenvalue predictions.
 
 Replicate ``i`` of a study draws from stream ``(seed, i)`` and results are
 aggregated in replicate order, so a report is a pure function of
-``(beta, n, replicates, seed)`` whatever the worker count.
+``(beta, n, replicates, seed)``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import whole
 from .errors import DegenerateSampleError
 from .estimators import sample_stats
 from .sampler import RngStream, generate
 from .spectral import EigenReport, build_model, eigen_report
+
+MIN_REPLICATES = 2
+MIN_WORKERS = 1
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,8 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     seed : int
         Study seed; replicate ``i`` uses stream ``(seed, i)``.
     workers : int
-        Thread count for replicate generation.  Results are identical for
-        any value.
+        Worker count, at least 1; validated only, since replicates run
+        serially (a thread pool was slower than one thread).
     dense : bool
         Route convolutions through the dense oracle.
 
@@ -67,32 +70,20 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         If any replicate series is constant; the message names the
         offending stream index and the study aborts.
     """
-    replicates = int(replicates)
-    if replicates < 2:
-        raise ValueError(f"replicates must be at least 2, got {replicates}")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    replicates = whole(replicates, "replicates", MIN_REPLICATES)
+    whole(workers, "workers", MIN_WORKERS)
 
     model = build_model(beta, n, dense=dense)
     eigen = eigen_report(model)
 
-    def one(i):
+    measured = np.empty((replicates, 3))
+    for i in range(replicates):
         sample = generate(model, RngStream(seed=seed, stream_index=i), dense=dense)
         try:
             stats = sample_stats(sample.series)
         except DegenerateSampleError as exc:
             raise DegenerateSampleError(f"replicate stream_index={i}: {exc}") from exc
-        return stats.d_meas, stats.alpha_meas, stats.variance
-
-    measured = np.empty((replicates, 3))
-    if workers == 1:
-        for i in range(replicates):
-            measured[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, row in enumerate(pool.map(one, range(replicates))):
-                measured[i] = row
+        measured[i] = stats.d_meas, stats.alpha_meas, stats.variance
 
     means = measured.mean(axis=0)
     sds = measured.std(axis=0, ddof=1)

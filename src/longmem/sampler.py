@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import whole
 from .dft import circular_convolve
 from .errors import DegenerateSampleError, InternalConsistencyError
 
@@ -22,7 +23,7 @@ GENERATOR = "pcg64-ziggurat"
 # |cosine| may exceed 1 only by accumulated rounding.
 COSINE_TOL = 1e-12
 
-_SEED_LIMIT = 2**64
+SEED_LIMIT = 2**64
 
 
 @dataclass(frozen=True)
@@ -31,23 +32,20 @@ class RngStream:
 
     seed : unsigned 64-bit study seed
     stream_index : replicate number within the study
+    Both are stored as Python ints; a non-integral value raises TypeError.
     """
 
     seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < _SEED_LIMIT:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if int(self.stream_index) < 0:
-            raise ValueError(f"stream_index must be non-negative, got {self.stream_index}")
+        object.__setattr__(self, "seed", whole(self.seed, "seed", limit=SEED_LIMIT))
+        object.__setattr__(self, "stream_index", whole(self.stream_index, "stream_index"))
 
     def generator(self):
         """Fresh generator for this address; identical addresses give
         identical draw sequences."""
-        key = np.random.SeedSequence(
-            entropy=int(self.seed), spawn_key=(int(self.stream_index),)
-        )
+        key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.PCG64(key))
 
 
@@ -80,9 +78,9 @@ def draw_epsilon(stream, rn):
     rn : int
         Odd length, at least 3.
     """
-    rn = int(rn)
-    if rn < 3 or rn % 2 == 0:
-        raise ValueError(f"rn must be an odd integer >= 3, got {rn}")
+    rn = whole(rn, "rn", 3)
+    if rn % 2 == 0:
+        raise ValueError(f"rn must be odd, got {rn}")
     return stream.generator().standard_normal(rn)
 
 
@@ -119,8 +117,8 @@ def generate(model, stream, dense=False):
         series=series,
         cosvec=cosvec,
         standardized=standardize(cosvec),
-        seed=int(stream.seed),
-        stream_index=int(stream.stream_index),
+        seed=stream.seed,
+        stream_index=stream.stream_index,
     )
 
 

@@ -11,19 +11,18 @@ variance, condition number, spectral slope) live in :func:`eigen_report`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import circulant_matrix, unitary_dft
-from .errors import ModelConstructionError, ResourceLimitError
+from ._checks import real, whole
+# DENSE_GUARD lives with the dense routes it guards; re-exported here.
+from .dft import DENSE_GUARD, circulant_matrix, unitary_dft  # noqa: F401
+from .errors import ModelConstructionError
 
 BETA_MIN = 0.0
 BETA_MAX = 10.0
-
-# Largest operator order the dense O(rn^2) paths will allocate.
-DENSE_GUARD = 4096
+N_MIN = 2
 
 # Eigenvalues come out of a real-input transform; their imaginary parts are
 # pure rounding noise and must stay below this fraction of the largest one.
@@ -112,9 +111,7 @@ def build_grid(n):
     -------
     FrequencyGrid
     """
-    n = operator.index(n)
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    n = whole(n, "n", N_MIN)
     m = n // 2
     i = np.arange(m)
     negative = (2 * i - n) / (2 * n)
@@ -154,9 +151,7 @@ def build_model(beta, n, dense=False):
         If the recovered spectrum has a material imaginary part or any
         non-positive eigenvalue.
     """
-    beta = float(beta)
-    if not (BETA_MIN <= beta <= BETA_MAX):
-        raise ValueError(f"beta must lie in [{BETA_MIN}, {BETA_MAX}], got {beta}")
+    beta = real(beta, "beta", BETA_MIN, BETA_MAX)
     grid = build_grid(n)
     rn = grid.rn
     density = np.abs(grid.frequencies) ** (-beta / 2.0)
@@ -255,13 +250,8 @@ def eigen_report(model, dense=False):
 def dense_operator(model):
     """Materialize the full rn x rn symmetric circulant operator.
 
-    Debug/oracle path; refuses orders above ``DENSE_GUARD``.
+    Debug/oracle path; circulant_matrix refuses orders above ``DENSE_GUARD``.
     """
-    rn = model.rn
-    if rn > DENSE_GUARD:
-        raise ResourceLimitError(
-            f"dense operator of order {rn} exceeds the guard limit {DENSE_GUARD}"
-        )
     return circulant_matrix(model.first_row)
 
 

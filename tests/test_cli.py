@@ -311,6 +311,25 @@ class TestStudy:
         assert json.loads(result.stderr)["error"]["type"] == "ValueError"
 
 
+class TestResourceErrors:
+    def _single_json_error(self, result):
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    def test_dense_oracle_above_guard_refused(self):
+        # order 5001 > DENSE_GUARD: refused before the O(n^2) kernel is built
+        result = run_cli("generate", "--beta", "2.2", "--n", "5000", "--dense-oracle")
+        assert self._single_json_error(result)["type"] == "ResourceLimitError"
+
+    def test_allocation_failure_follows_error_contract(self):
+        # the grid alone needs exabytes, so allocation fails without touching memory
+        result = run_cli("spectrum", "--beta", "2.2", "--n", "1000000000000000000")
+        assert self._single_json_error(result)["type"] == "MemoryError"
+
+
 class TestConsoleEntry:
     def test_module_main_and_package_main_agree(self):
         direct = subprocess.run(
