@@ -24,7 +24,7 @@ from longmem import (
     generate,
 )
 from longmem._checks import whole
-from longmem.cli import bins_flag, flag_type, n_flag, seed_flag
+from longmem.cli import bins_flag, csv_chunks, flag_type, histogram_columns, n_flag, seed_flag
 
 GALLERY_BETAS = [0.001, 2.2, 4.0, 10.0]
 
@@ -39,13 +39,8 @@ def run_one(beta, n, replicates, bins, seed):
 
 
 def write_csv(path, hist):
-    lines = ["bin_left,bin_right,count,density"]
-    for k in range(hist.bin_count):
-        lines.append(
-            f"{hist.edges[k]:.17g},{hist.edges[k + 1]:.17g},"
-            f"{int(hist.counts[k])},{hist.densities[k]:.17g}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(csv_chunks(histogram_columns(hist)))
 
 
 def sketch(hist, width=50):

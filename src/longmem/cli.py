@@ -14,11 +14,15 @@ JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import __version__
 from ._checks import real, whole
@@ -35,7 +39,11 @@ DEFAULT_REPLICATES = 500
 DEFAULT_BINS = 100
 WORKERS_ENV = "LONGMEM_WORKERS"
 
-_FLOAT_FMT = ".17g"
+_FLOAT_FMT = "%.17g"
+# CSV cell format by numpy dtype kind; text and booleans print with %s.
+_CELL_FMT = {"i": "%d", "u": "%d", "f": _FLOAT_FMT}
+# Rows formatted and written per write; bounds the memory the text takes.
+CSV_CHUNK_ROWS = 2 ** 16
 
 
 @dataclass
@@ -162,33 +170,48 @@ def _cmd_generate(cfg):
     sample = generate(
         model, RngStream(seed=cfg.seed, stream_index=0), dense=cfg.dense_oracle
     )
-    columns = ["index", "epsilon", "series", "cosvec", "standardized"]
-    rows = [
-        [i, sample.epsilon[i], sample.series[i], sample.cosvec[i], sample.standardized[i]]
-        for i in range(model.rn)
-    ]
-    return columns, rows, None
+    columns = {
+        "index": np.arange(model.rn),
+        "epsilon": sample.epsilon,
+        "series": sample.series,
+        "cosvec": sample.cosvec,
+        "standardized": sample.standardized,
+    }
+    return columns, None
 
 
 def _cmd_spectrum(cfg):
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
-    columns = ["frequency", "density", "first_row"]
-    rows = [
-        [model.grid.frequencies[i], model.density[i], model.first_row[i]]
-        for i in range(model.rn)
-    ]
-    return columns, rows, None
+    columns = {
+        "frequency": model.grid.frequencies,
+        "density": model.density,
+        "first_row": model.first_row,
+    }
+    return columns, None
 
 
 def _cmd_eigen(cfg):
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
     report = eigen_report(model, dense=cfg.dense_oracle)
-    columns = ["rank", "eigenvalue", "log10_rank", "log10_eigenvalue"]
-    rows = [
-        [k + 1, lam, math.log10(k + 1), math.log10(lam)]
-        for k, lam in enumerate(model.eigenvalues)
-    ]
-    return columns, rows, asdict(report)
+    ranks = range(1, len(model.eigenvalues) + 1)
+    # math.log10, not np.log10: the two differ in the last bit on some inputs.
+    columns = {
+        "rank": np.array(ranks),
+        "eigenvalue": model.eigenvalues,
+        "log10_rank": [math.log10(k) for k in ranks],
+        "log10_eigenvalue": [math.log10(lam) for lam in model.eigenvalues.tolist()],
+    }
+    return columns, asdict(report)
+
+
+def histogram_columns(hist):
+    """Plot-ready columns of a histogram: bin edges, raw counts, densities."""
+    return {
+        "bin_left": hist.edges[:-1],
+        "bin_right": hist.edges[1:],
+        "count": hist.counts,
+        "density": hist.densities,
+    }
 
 
 def _cmd_hist(cfg):
@@ -202,13 +225,8 @@ def _cmd_hist(cfg):
         fitted = fit_alpha_from_histogram(hist)
     except InsufficientDataError:
         fitted = None
-    columns = ["bin_left", "bin_right", "count", "density"]
-    rows = [
-        [hist.edges[k], hist.edges[k + 1], int(hist.counts[k]), hist.densities[k]]
-        for k in range(hist.bin_count)
-    ]
     summary = {"sample_count": hist.sample_count, "fit_alpha": fitted}
-    return columns, rows, summary
+    return histogram_columns(hist), summary
 
 
 def _cmd_study(cfg):
@@ -216,13 +234,15 @@ def _cmd_study(cfg):
         cfg.beta, cfg.n, cfg.replicates, cfg.seed,
         workers=cfg.workers, dense=cfg.dense_oracle,
     )
-    columns = ["beta", "statistic", "eigen_estimate", "measured_mean", "measured_cv"]
-    rows = [
-        [report.beta, "d", report.eigen.d_est, report.mean_d, report.cv_d],
-        [report.beta, "alpha", report.eigen.alpha_est, report.mean_alpha, report.cv_alpha],
-        [report.beta, "variance", report.eigen.var_est, report.mean_var, report.cv_var],
-    ]
-    return columns, rows, asdict(report.eigen)
+    eigen = report.eigen
+    columns = {
+        "beta": [report.beta] * 3,
+        "statistic": ["d", "alpha", "variance"],
+        "eigen_estimate": [eigen.d_est, eigen.alpha_est, eigen.var_est],
+        "measured_mean": [report.mean_d, report.mean_alpha, report.mean_var],
+        "measured_cv": [report.cv_d, report.cv_alpha, report.cv_var],
+    }
+    return columns, asdict(eigen)
 
 
 _HANDLERS = {
@@ -234,46 +254,58 @@ _HANDLERS = {
 }
 
 
-def _cell(value):
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, _FLOAT_FMT)
-    return str(value)
+def csv_chunks(columns):
+    """Yield the CSV header line, then the rows of ``columns`` (a
+    ``{name: array or list}`` dict of equal-length columns) as text, at most
+    ``CSV_CHUNK_ROWS`` rows per chunk."""
+    yield ",".join(columns) + "\n"
+    arrays = [np.asarray(values) for values in columns.values()]
+    row = ",".join(_CELL_FMT.get(a.dtype.kind, "%s") for a in arrays) + "\n"
+    for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
+        cells = [a[start:start + CSV_CHUNK_ROWS].tolist() for a in arrays]
+        yield "".join(map(row.__mod__, zip(*cells)))
+
+
+def _open_output(output):
+    if output == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(output, "w", encoding="utf-8", newline="")
 
 
 def render(cfg):
-    """Run one configured command and return its full output text."""
-    columns, rows, summary = _HANDLERS[cfg.command](cfg)
+    """Run one configured command and write its output to ``cfg.output``.
+
+    The command runs before the destination is opened, so a failing command
+    leaves an existing output file untouched.  CSV is formatted and written
+    ``CSV_CHUNK_ROWS`` rows at a time; JSON is written as one piece."""
+    columns, summary = _HANDLERS[cfg.command](cfg)
     meta = _metadata(cfg)
     if cfg.format == "json":
-        payload = {"meta": meta, "columns": columns, "rows": rows}
+        values = [np.asarray(v).tolist() for v in columns.values()]
+        payload = {"meta": meta, "columns": list(columns), "rows": list(zip(*values))}
         if summary is not None:
             payload["summary"] = summary
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["# " + json.dumps(meta)]
-    if summary is not None:
-        lines.append("# summary " + json.dumps(summary))
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        chunks = [json.dumps(payload, indent=2) + "\n"]
+    else:
+        head = "# " + json.dumps(meta) + "\n"
+        if summary is not None:
+            head += "# summary " + json.dumps(summary) + "\n"
+        chunks = itertools.chain([head], csv_chunks(columns))
+    with _open_output(cfg.output) as out:
+        for text in chunks:
+            _emit(text, out)
 
 
-def _emit(text, output):
-    if output == "-":
-        sys.stdout.write(text)
-        return
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _emit(text, out):
+    """Write one piece of output text; every write goes through here."""
+    out.write(text)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        _emit(render(cfg), cfg.output)
+        render(config_from_args(args))
     except (LongmemError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"

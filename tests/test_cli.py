@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from longmem import cli
 from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
@@ -176,6 +177,10 @@ class TestGenerate:
             dense_series
         ).max()
 
+    def test_golden_small_run(self):
+        result = run_cli("generate", "--beta", "2.2", "--n", "21")
+        assert result.stdout == (GOLDEN / "generate_beta2.2_n21.csv").read_text()
+
 
 class TestSpectrum:
     def test_matches_library_bit_exact(self):
@@ -230,6 +235,10 @@ class TestEigen:
         fast_lam = column(fast_rows, columns, "eigenvalue")
         dense_lam = column(dense_rows, columns, "eigenvalue")
         assert np.abs(fast_lam - dense_lam).max() <= 1e-8 * fast_lam[0]
+
+    def test_golden_json(self):
+        result = run_cli("eigen", "--beta", "10", "--n", "40", "--format", "json")
+        assert result.stdout == (GOLDEN / "eigen_beta10_n40.json").read_text()
 
 
 class TestHist:
@@ -302,6 +311,13 @@ class TestStudy:
         assert columns == flag_columns == env_columns
         assert rows == flag_rows == env_rows
 
+    def test_golden_json(self):
+        result = run_cli(
+            "study", "--beta", "2.2", "--n", "20", "--replicates", "10",
+            "--format", "json",
+        )
+        assert result.stdout == (GOLDEN / "study_beta2.2_n20_r10.json").read_text()
+
     def test_bad_workers_env_is_runtime_error(self):
         result = run_cli(
             "study", "--beta", "2.2", "--n", "10", "--replicates", "4",
@@ -328,6 +344,51 @@ class TestResourceErrors:
         # the grid alone needs exabytes, so allocation fails without touching memory
         result = run_cli("spectrum", "--beta", "2.2", "--n", "1000000000000000000")
         assert self._single_json_error(result)["type"] == "MemoryError"
+
+
+class TestStreamedOutput:
+    """CSV is written in chunks of ``cli.CSV_CHUNK_ROWS`` rows; the chunking
+    must not show in the bytes, and only a command that succeeded writes."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("generate", "--beta", "2.2", "--n", "20"),
+            ("generate", "--beta", "2.2", "--n", "22"),
+            ("spectrum", "--beta", "2.2", "--n", "30"),
+        ],
+    )
+    def test_chunk_size_does_not_change_bytes(self, args, tmp_path, monkeypatch):
+        written = set()
+        for chunk_rows in (1, 7, 10**6):
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+            target = tmp_path / f"chunk{chunk_rows}.csv"
+            assert cli.main([*args, "--output", str(target)]) == 0
+            written.add(target.read_bytes())
+        assert written == {run_cli(*args).stdout.encode()}
+
+    def test_failed_command_leaves_output_untouched(self, tmp_path):
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"earlier output\n")
+        result = run_cli(
+            "study", "--beta", "2.2", "--n", "10", "--replicates", "1",
+            "--output", str(target),
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "ValueError"
+        assert target.read_bytes() == b"earlier output\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_follows_error_contract(self):
+        result = run_cli(
+            "generate", "--beta", "2.2", "--n", "200000", "--output", "/dev/full"
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "OSError"
 
 
 class TestConsoleEntry:
