@@ -124,26 +124,11 @@ def build_parser():
     return parser
 
 
-def _resolve_workers(flag_value):
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    return whole(int(raw), WORKERS_ENV, MIN_WORKERS)
-
-
 def config_from_args(args):
-    cfg = RunConfig(command=args.command, beta=args.beta, n=args.n)
-    cfg.seed = args.seed
-    cfg.format = args.format
-    cfg.output = args.output
-    cfg.dense_oracle = bool(args.dense_oracle)
-    if hasattr(args, "replicates"):
-        cfg.replicates = args.replicates
-    if hasattr(args, "bins"):
-        cfg.bins = args.bins
-    cfg.workers = _resolve_workers(getattr(args, "workers", None))
+    cfg = RunConfig(**vars(args))
+    if cfg.workers is None:
+        # Only study has --workers; without the flag it reads the environment.
+        cfg.workers = whole(int(os.environ.get(WORKERS_ENV, 1)), WORKERS_ENV, MIN_WORKERS)
     return cfg
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ResourceLimitError, UnsupportedLengthError
+from ._checks import odd, representable, vector
+from .errors import InternalConsistencyError, ResourceLimitError
 
 # Largest order the dense O(n^2) routes will allocate.
 DENSE_GUARD = 4096
@@ -24,19 +25,6 @@ DENSE_GUARD = 4096
 IMAG_RESIDUE_TOL = 1e-9
 
 
-def _as_vector(x, name, *, real=False):
-    arr = np.asarray(x)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty one-dimensional vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    if real:
-        if np.iscomplexobj(arr):
-            raise ValueError(f"{name} must be real-valued")
-        return arr.astype(float)
-    return arr.astype(complex)
-
-
 def _guard_dense(n, what):
     if n > DENSE_GUARD:
         raise ResourceLimitError(
@@ -44,6 +32,7 @@ def _guard_dense(n, what):
         )
 
 
+@representable
 def unitary_dft(x, direction="forward", dense=False):
     """Unitary DFT of a vector, in either direction.
 
@@ -63,7 +52,7 @@ def unitary_dft(x, direction="forward", dense=False):
     numpy.ndarray
         Complex vector of the same length.
     """
-    arr = _as_vector(x, "x")
+    arr = vector(x, "x", complex_ok=True)
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if dense:
@@ -91,13 +80,14 @@ def circulant_matrix(row):
     is symmetric and its first row equals ``row`` itself.  Orders above
     ``DENSE_GUARD`` raise ``ResourceLimitError``.
     """
-    row = _as_vector(row, "row", real=True)
+    row = vector(row, "row")
     n = row.size
     _guard_dense(n, "circulant matrix")
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return row[idx]
 
 
+@representable
 def circular_convolve(row, v, dense=False):
     """Circular convolution ``w[i] = sum_j row[(i - j) % n] * v[j]``.
 
@@ -123,14 +113,11 @@ def circular_convolve(row, v, dense=False):
     InternalConsistencyError
         If the fast path leaves a non-negligible imaginary residue.
     """
-    row = _as_vector(row, "row", real=True)
-    v = _as_vector(v, "v", real=True)
+    row = vector(row, "row")
+    v = vector(v, "v")
     if row.size != v.size:
         raise ValueError(f"length mismatch: row has {row.size}, v has {v.size}")
-    if row.size % 2 == 0:
-        raise UnsupportedLengthError(
-            f"circular convolution operates on odd lengths only, got {row.size}"
-        )
+    odd(row.size, "convolution length")
     if dense:
         return circulant_matrix(row) @ v
     w = np.fft.ifft(np.fft.fft(row) * np.fft.fft(v))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import whole
+from ._checks import representable, vector, whole
 from .errors import DegenerateSampleError, InsufficientDataError
 
 # No law on a bounded interval has variance above range^2 / 4.
@@ -60,6 +60,7 @@ class Histogram:
     sample_count: int
 
 
+@representable
 def sample_stats(series):
     """Spread statistics of a series.
 
@@ -76,11 +77,7 @@ def sample_stats(series):
     -------
     SampleStats
     """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("series must be a one-dimensional vector with at least 2 entries")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("series contains non-finite values")
+    arr = vector(series, "series", 2)
     lo = float(arr.min())
     hi = float(arr.max())
     if hi == lo:
@@ -116,7 +113,8 @@ def _from_counts(edges, counts):
 
 
 def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
-    """Pool standardized vectors into one histogram on [0, 1].
+    """Pool standardized vectors into one histogram on [0, 1], binning
+    them one at a time so only one vector is held.
 
     Values exactly equal to 0.0 or 1.0 are dropped before binning: the
     standardization pins one of each per replicate by construction, and
@@ -126,7 +124,8 @@ def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
     Parameters
     ----------
     samples : iterable of array_like
-        One standardized vector per replicate; at least one.
+        One standardized vector per replicate, with every entry in [0, 1];
+        at least one.  Any other value raises ValueError.
     bin_count : int
         Number of uniform bins, at least 2.
 
@@ -135,13 +134,14 @@ def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
     Histogram
     """
     bin_count = whole(bin_count, "bin_count", MIN_BIN_COUNT)
-    vectors = [np.asarray(s, dtype=float) for s in samples]
-    if not vectors:
-        raise ValueError("at least one standardized vector is required")
-    pooled = np.concatenate(vectors)
-    pooled = pooled[(pooled != 0.0) & (pooled != 1.0)]
     edges = np.linspace(0.0, 1.0, bin_count + 1)
-    counts, _ = np.histogram(pooled, bins=edges)
+    counts = None
+    for sample in samples:
+        values = vector(sample, "samples", bounds=(0.0, 1.0))
+        binned, _ = np.histogram(values[(values != 0.0) & (values != 1.0)], bins=edges)
+        counts = binned if counts is None else counts + binned
+    if counts is None:
+        raise ValueError("at least one standardized vector is required")
     return _from_counts(edges, counts)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import whole
+from ._checks import odd, representable, vector, whole
 from .dft import circular_convolve
 from .errors import DegenerateSampleError, InternalConsistencyError
 
@@ -78,9 +78,7 @@ def draw_epsilon(stream, rn):
     rn : int
         Odd length, at least 3.
     """
-    rn = whole(rn, "rn", 3)
-    if rn % 2 == 0:
-        raise ValueError(f"rn must be odd, got {rn}")
+    rn = odd(whole(rn, "rn", 3), "rn")
     return stream.generator().standard_normal(rn)
 
 
@@ -102,6 +100,11 @@ def generate(model, stream, dense=False):
     Returns
     -------
     SeriesSample
+
+    Raises
+    ------
+    DegenerateSampleError
+        If the series is constant; the message names the stream index.
     """
     epsilon = draw_epsilon(stream, model.rn)
     series = circular_convolve(model.first_row, epsilon, dense=dense)
@@ -112,16 +115,21 @@ def generate(model, stream, dense=False):
         raise InternalConsistencyError(
             f"cosine vector left [-1, 1]: max magnitude {worst!r}"
         )
+    try:
+        standardized = standardize(cosvec)
+    except DegenerateSampleError as exc:
+        raise DegenerateSampleError(f"replicate stream_index={stream.stream_index}: {exc}") from exc
     return SeriesSample(
         epsilon=epsilon,
         series=series,
         cosvec=cosvec,
-        standardized=standardize(cosvec),
+        standardized=standardized,
         seed=stream.seed,
         stream_index=stream.stream_index,
     )
 
 
+@representable
 def standardize(values):
     """Map a vector affinely onto [0, 1] with exact endpoint values.
 
@@ -136,11 +144,7 @@ def standardize(values):
     """
     if isinstance(values, SeriesSample):
         values = values.cosvec
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("values must be a non-empty one-dimensional vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("values contains non-finite entries")
+    arr = vector(values, "values")
     lo = arr.min()
     hi = arr.max()
     if hi == lo:

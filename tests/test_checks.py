@@ -1,20 +1,25 @@
 """Input boundary: every public integer parameter takes exactly the values
-``operator.index`` accepts within its range, and the command line's flag
-types accept exactly what the library accepts."""
+``operator.index`` accepts within its range, the command line's flag
+types accept exactly what the library accepts, and every array entry point
+takes exactly the one-dimensional finite vectors the array rule allows."""
 
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from longmem._checks import vector
 from longmem.cli import build_parser
-from longmem.estimators import accumulate_histogram
+from longmem.dft import circulant_matrix, circular_convolve, unitary_dft
+from longmem.errors import LongmemError
+from longmem.estimators import accumulate_histogram, sample_stats
 from longmem.montecarlo import run_study
-from longmem.sampler import SEED_LIMIT, RngStream, draw_epsilon
+from longmem.sampler import SEED_LIMIT, RngStream, draw_epsilon, standardize
 from longmem.spectral import BETA_MAX, BETA_MIN, build_grid, build_model
 
 # name, call taking the value, out-of-range values, an accepted numpy value
@@ -114,3 +119,82 @@ def test_n_flag_matches_library(value):
 @settings(max_examples=150)
 def test_beta_flag_matches_library(value):
     assert _cli_accepts("beta", value) == _library_accepts(lambda v: build_model(v, 3), value)
+
+
+# name, call taking one vector, parameter named in rejections, shortest
+# accepted length, whether complex input is accepted
+ARRAY_ENTRY_POINTS = [
+    ("unitary_dft", unitary_dft, "x", 1, True),
+    ("circulant_matrix", circulant_matrix, "row", 1, False),
+    ("circular_convolve", lambda x: circular_convolve(x, x), "row", 1, False),
+    ("standardize", standardize, "values", 1, False),
+    ("sample_stats", sample_stats, "series", 2, False),
+    ("accumulate_histogram", lambda x: accumulate_histogram([x]), "samples", 1, False),
+]
+
+
+def _rejects(call, value, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} "):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "call, name, shortest, takes_complex",
+    [p[1:] for p in ARRAY_ENTRY_POINTS],
+    ids=[p[0] for p in ARRAY_ENTRY_POINTS],
+)
+def test_array_entry_point_boundary(call, name, shortest, takes_complex):
+    for bad in ([0.25, math.nan, 0.75], [0.25, math.inf, 0.75], [-math.inf, 0.25, 0.75]):
+        _rejects(call, np.array(bad), name)
+    _rejects(call, np.full((3, 3), 0.5), name)
+    _rejects(call, np.array(0.5), name)
+    _rejects(call, np.array([]), name)
+    _rejects(call, np.full(shortest - 1, 0.5), name)
+    complex_input = np.array([0.25 + 0.5j, 0.5, 0.75])
+    if takes_complex:
+        call(complex_input)
+    else:
+        _rejects(call, complex_input, name)
+    call(np.array([0.25, 0.5, 0.75]))
+    call([0.25, 0.5, 0.75])
+
+
+def test_histogram_values_just_outside_unit_interval_rejected():
+    below, above = math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)
+    for bad in ([below, 0.5], [0.5, above], [0.5, 2.0, -1.0, 0.25]):
+        _rejects(lambda x: accumulate_histogram([np.array([0.5]), x]), np.array(bad), "samples")
+    hist = accumulate_histogram([np.array([0.0, 0.5, 1.0]), np.array([0.25])], bin_count=4)
+    assert hist.sample_count == 2
+
+
+def test_vector_copies_only_to_change_dtype():
+    real = np.linspace(0.0, 1.0, 5)
+    assert vector(real, "v") is real
+    spectrum = real.astype(complex)
+    assert vector(spectrum, "v", complex_ok=True) is spectrum
+    widened = vector(np.arange(5), "v")
+    assert widened.dtype == np.float64
+    np.testing.assert_array_equal(widened, np.arange(5.0))
+    assert vector(real, "v", complex_ok=True).dtype == np.complex128
+
+
+_FINITE_VECTORS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=9)
+
+
+@pytest.mark.parametrize(
+    "call", [p[1] for p in ARRAY_ENTRY_POINTS], ids=[p[0] for p in ARRAY_ENTRY_POINTS]
+)
+@given(values=_FINITE_VECTORS)
+@example(values=[1e308, -1e308, 0.0])
+@example(values=[1e308, 1e308, 1e308])
+@example(values=[5e-324, 0.0, 1e-310])
+@settings(max_examples=120)
+def test_array_entry_point_accepts_or_raises_value_error(call, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(np.array(values, dtype=float))
+        except (ValueError, LongmemError):
+            pass

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longmem import cli
+from longmem import cli, sampler
 from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
@@ -132,6 +132,15 @@ class TestExitCodes:
         error = json.loads(result.stderr)["error"]
         assert error["type"] == "ValueError"
         assert "replicates" in error["message"]
+
+    def test_degenerate_hist_replicate_names_its_stream(self, monkeypatch, capsys):
+        monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: np.ones(rn))
+        code = cli.main(["hist", "--beta", "0", "--n", "5", "--replicates", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DegenerateSampleError"
+        assert "stream_index=0" in error["message"]
 
     def test_empty_replicates_hist_errors(self):
         result = run_cli("hist", "--beta", "2.2", "--n", "10", "--replicates", "0")
@@ -317,6 +326,20 @@ class TestStudy:
             "--format", "json",
         )
         assert result.stdout == (GOLDEN / "study_beta2.2_n20_r10.json").read_text()
+
+    @pytest.mark.parametrize("args", [
+        ("eigen", "--beta", "2", "--n", "5"),
+        ("spectrum", "--beta", "2", "--n", "5"),
+        ("generate", "--beta", "2", "--n", "5"),
+        ("hist", "--beta", "2", "--n", "5", "--replicates", "3"),
+    ], ids=lambda args: args[0])
+    def test_workers_env_ignored_outside_study(self, args):
+        plain = run_cli(*args)
+        assert plain.returncode == 0
+        for workers in ("0", "3"):
+            result = run_cli(*args, env_extra={"LONGMEM_WORKERS": workers})
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == plain.stdout
 
     def test_bad_workers_env_is_runtime_error(self):
         result = run_cli(

@@ -148,6 +148,25 @@ class TestHistogram:
 
     @given(
         st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(min_value=2, max_value=50),
+    )
+    @settings(max_examples=60)
+    def test_counts_equal_one_pooled_histogram(self, vector_lists, bins):
+        # Reference: pool every vector, drop the exact endpoints, bin once.
+        pooled = np.concatenate([np.array(v) for v in vector_lists])
+        pooled = pooled[(pooled != 0.0) & (pooled != 1.0)]
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        expected, _ = np.histogram(pooled, bins=edges)
+        hist = accumulate_histogram((np.array(v) for v in vector_lists), bin_count=bins)
+        np.testing.assert_array_equal(hist.counts, expected)
+        assert hist.sample_count == pooled.size
+
+    @given(
+        st.lists(
             st.lists(
                 st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
                 min_size=3,

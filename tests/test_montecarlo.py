@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import longmem.montecarlo as montecarlo
+import longmem.sampler as sampler
 from longmem.errors import DegenerateSampleError
 from longmem.estimators import sample_stats
 from longmem.montecarlo import run_study
@@ -99,3 +100,10 @@ class TestValidation:
         monkeypatch.setattr(montecarlo, "generate", fake_generate)
         with pytest.raises(DegenerateSampleError, match="stream_index=0"):
             run_study(2.2, 40, replicates=5, seed=5)
+
+    def test_constant_noise_names_its_stream(self, monkeypatch):
+        # At beta = 0 the operator is the identity, so constant noise gives
+        # a constant series, which generate cannot standardize.
+        monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: np.ones(rn))
+        with pytest.raises(DegenerateSampleError, match="stream_index=0: constant"):
+            run_study(0.0, 5, replicates=5, seed=5)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.errors import DegenerateSampleError
+from longmem.errors import DegenerateSampleError, UnsupportedLengthError
 from longmem.sampler import RngStream, draw_epsilon, generate, standardize
 from longmem.spectral import build_model
 
@@ -55,6 +55,10 @@ class TestRngStream:
     def test_rn_validation(self, rn):
         with pytest.raises(ValueError):
             draw_epsilon(RngStream(seed=5), rn)
+
+    def test_even_rn_is_unsupported_length(self):
+        with pytest.raises(UnsupportedLengthError, match="^rn must be odd"):
+            draw_epsilon(RngStream(seed=5), 4)
 
 
 class TestGenerate:
