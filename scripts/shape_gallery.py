@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep beta through its shape regimes and emit histogram CSVs.
 
-Writes one plot-ready CSV per beta (bell near 0, skewed bump, semicircle
-neighborhood, arcsine at the top) plus a terminal summary of the fitted
-shape parameter for each.
+Runs the ``hist`` command at four betas (bell near 0, skewed bump,
+semicircle neighborhood, arcsine at the top): each CSV is the body of
+``longmem hist`` at the same settings, and the terminal summary prints
+its fitted shape parameter.
 
 Usage:
     python scripts/shape_gallery.py [--outdir shapes] [--replicates 200]
@@ -15,40 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
-from longmem import (
-    InsufficientDataError,
-    RngStream,
-    accumulate_histogram,
-    build_model,
-    fit_alpha_from_histogram,
-    generate,
-)
 from longmem._checks import whole
-from longmem.cli import bins_flag, csv_chunks, flag_type, histogram_columns, n_flag, seed_flag
+from longmem.cli import RunConfig, _cmd_hist, bins_flag, csv_chunks, flag_type, n_flag, seed_flag
 
 GALLERY_BETAS = [0.001, 2.2, 4.0, 10.0]
 
 
-def run_one(beta, n, replicates, bins, seed):
-    model = build_model(beta, n)
-    vectors = [
-        generate(model, RngStream(seed=seed, stream_index=i)).standardized
-        for i in range(replicates)
-    ]
-    return accumulate_histogram(vectors, bin_count=bins)
-
-
-def write_csv(path, hist):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(csv_chunks(histogram_columns(hist)))
-
-
-def sketch(hist, width=50):
-    peak = float(hist.densities.max())
+def sketch(columns, width=50):
+    density, left = columns["density"], columns["bin_left"]
+    peak = float(density.max())
     rows = []
-    for k in range(0, hist.bin_count, max(1, hist.bin_count // 20)):
-        bar = "#" * int(round(width * hist.densities[k] / peak))
-        rows.append(f"    {hist.edges[k]:5.2f} |{bar}")
+    for k in range(0, len(density), max(1, len(density) // 20)):
+        bar = "#" * int(round(width * density[k] / peak))
+        rows.append(f"    {left[k]:5.2f} |{bar}")
     return "\n".join(rows)
 
 
@@ -66,18 +46,21 @@ def main():
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for beta in GALLERY_BETAS:
-        hist = run_one(beta, args.n, args.replicates, args.bins, args.seed)
+        cfg = RunConfig("hist", beta, args.n, seed=args.seed,
+                        replicates=args.replicates, bins=args.bins)
+        columns, summary = _cmd_hist(cfg)
         path = outdir / f"hist_beta{beta:g}.csv"
-        write_csv(path, hist)
-        try:
-            fitted = f"{fit_alpha_from_histogram(hist):.3f}"
-        except InsufficientDataError:
-            fitted = "n/a (too few samples)"
-        edge = float(np.mean([hist.densities[0], hist.densities[-1]]))
-        center = float(np.mean(hist.densities[hist.bin_count // 2 - 1 : hist.bin_count // 2 + 1]))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(csv_chunks(columns))
+        fit = summary["fit_alpha"]
+        fitted = "n/a (too few samples)" if fit is None else f"{fit:.3f}"
+        density = columns["density"]
+        mid = len(density) // 2
+        edge = float(np.mean([density[0], density[-1]]))
+        center = float(np.mean(density[mid - 1 : mid + 1]))
         print(f"beta {beta:g}: fitted alpha {fitted}  "
               f"(edge density {edge:.2f}, center {center:.2f}) -> {path}")
-        print(sketch(hist))
+        print(sketch(columns))
         print()
 
 

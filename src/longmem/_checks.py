@@ -43,8 +43,11 @@ def odd(value, name):
 def vector(value, name, minimum=1, bounds=None, complex_ok=False):
     """``value`` as a 1-D finite float64 array (complex128 if ``complex_ok``)
     of at least ``minimum`` entries, inside the closed interval ``bounds`` if
-    given, else ValueError; copied only when its dtype has to change."""
+    given, else ValueError; copied only when its dtype has to change.  Text
+    and object arrays are rejected, not parsed."""
     arr = np.asarray(value)
+    if arr.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
     if arr.ndim != 1 or arr.size < minimum:
         raise ValueError(
             f"{name} must be 1-D with at least {minimum} entries, got shape {arr.shape}"

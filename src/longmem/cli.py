@@ -18,6 +18,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -28,7 +29,7 @@ from . import __version__
 from ._checks import real, whole
 from .errors import InsufficientDataError, LongmemError
 from .estimators import MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import MIN_WORKERS, run_study
+from .montecarlo import MIN_WORKERS, replicate_samples, run_study
 from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_grid, build_model, eigen_report
 
@@ -189,29 +190,24 @@ def _cmd_eigen(cfg):
     return columns, asdict(report)
 
 
-def histogram_columns(hist):
-    """Plot-ready columns of a histogram: bin edges, raw counts, densities."""
-    return {
-        "bin_left": hist.edges[:-1],
-        "bin_right": hist.edges[1:],
-        "count": hist.counts,
-        "density": hist.densities,
-    }
-
-
 def _cmd_hist(cfg):
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
-    vectors = (
-        generate(model, RngStream(seed=cfg.seed, stream_index=i), dense=cfg.dense_oracle).standardized
-        for i in range(cfg.replicates)
-    )
+    samples = replicate_samples(model, cfg.seed, cfg.replicates, dense=cfg.dense_oracle)
+    # map, unlike a generator expression, keeps no reference to the previous
+    # sample while the next is drawn, so its rn-vectors are freed first.
+    vectors = map(operator.attrgetter("standardized"), samples)
     hist = accumulate_histogram(vectors, bin_count=cfg.bins)
     try:
         fitted = fit_alpha_from_histogram(hist)
     except InsufficientDataError:
         fitted = None
-    summary = {"sample_count": hist.sample_count, "fit_alpha": fitted}
-    return histogram_columns(hist), summary
+    columns = {
+        "bin_left": hist.edges[:-1],
+        "bin_right": hist.edges[1:],
+        "count": hist.counts,
+        "density": hist.densities,
+    }
+    return columns, {"sample_count": hist.sample_count, "fit_alpha": fitted}
 
 
 def _cmd_study(cfg):

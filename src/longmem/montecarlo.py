@@ -1,9 +1,10 @@
 """Replication harness: measured spread statistics over many seeded
 replicates, reported next to the eigenvalue predictions.
 
-Replicate ``i`` of a study draws from stream ``(seed, i)`` and results are
-aggregated in replicate order, so a report is a pure function of
-``(beta, n, replicates, seed)``.
+``replicate_samples`` is the one place replicates are drawn: replicate
+``i`` comes from stream ``(seed, i)``, in replicate order.  ``run_study``
+and the ``hist`` command both consume it, so a report or a histogram is a
+pure function of ``(beta, n, replicates, seed)``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import whole
-from .errors import DegenerateSampleError
 from .estimators import sample_stats
 from .sampler import RngStream, generate
 from .spectral import EigenReport, build_model, eigen_report
@@ -42,6 +42,13 @@ class MonteCarloReport:
     cv_d: float
     cv_alpha: float
     cv_var: float
+
+
+def replicate_samples(model, seed, replicates, dense=False):
+    """Yield ``generate(model, RngStream(seed, i), dense=dense)`` for
+    ``i = 0 .. replicates - 1``, one replicate at a time."""
+    for i in range(replicates):
+        yield generate(model, RngStream(seed=seed, stream_index=i), dense=dense)
 
 
 def run_study(beta, n, replicates, seed, workers=1, dense=False):
@@ -77,12 +84,8 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     eigen = eigen_report(model)
 
     measured = np.empty((replicates, 3))
-    for i in range(replicates):
-        sample = generate(model, RngStream(seed=seed, stream_index=i), dense=dense)
-        try:
-            stats = sample_stats(sample.series)
-        except DegenerateSampleError as exc:
-            raise DegenerateSampleError(f"replicate stream_index={i}: {exc}") from exc
+    for i, sample in enumerate(replicate_samples(model, seed, replicates, dense=dense)):
+        stats = sample_stats(sample.series)
         measured[i] = stats.d_meas, stats.alpha_meas, stats.variance
 
     means = measured.mean(axis=0)

@@ -152,6 +152,11 @@ def test_array_entry_point_boundary(call, name, shortest, takes_complex):
     _rejects(call, np.array(0.5), name)
     _rejects(call, np.array([]), name)
     _rejects(call, np.full(shortest - 1, 0.5), name)
+    # text is not parsed as numbers, whatever container it comes in
+    _rejects(call, np.array(["0.25", "0.5", "0.75"]), name)
+    _rejects(call, np.array([b"0.25", b"0.5", b"0.75"]), name)
+    _rejects(call, np.array([0.25, "0.5", 0.75], dtype=object), name)
+    _rejects(call, ["0.25", "0.5", "0.75"], name)
     complex_input = np.array([0.25 + 0.5j, 0.5, 0.75])
     if takes_complex:
         call(complex_input)

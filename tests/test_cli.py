@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from longmem import cli, sampler
-from longmem.sampler import GENERATOR
+from longmem import cli, montecarlo, sampler
+from longmem.sampler import GENERATOR, generate
 from longmem.spectral import build_model, eigen_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -284,6 +285,22 @@ class TestHist:
             "--bins", "10",
         )
         assert result.stdout == (GOLDEN / "hist_beta10_n40_r30.csv").read_text()
+
+    def test_each_replicate_freed_before_the_next_is_drawn(self, monkeypatch):
+        # Peak memory holds one replicate's vectors, not two: at hist-wide's
+        # size (rn = 200001) each extra sample is about 5 MB.
+        drawn = []
+
+        def tracked(model, stream, dense=False):
+            assert all(ref() is None for ref in drawn)
+            sample = generate(model, stream, dense=dense)
+            drawn.append(weakref.ref(sample))
+            return sample
+
+        monkeypatch.setattr(montecarlo, "generate", tracked)
+        argv = ["hist", "--beta", "2.2", "--n", "20", "--replicates", "4", "--output", os.devnull]
+        assert cli.main(argv) == 0
+        assert len(drawn) == 4
 
 
 class TestStudy:

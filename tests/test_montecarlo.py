@@ -3,16 +3,14 @@ agreement between measured and eigenvalue-predicted statistics."""
 
 import math
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import longmem.montecarlo as montecarlo
 import longmem.sampler as sampler
 from longmem.errors import DegenerateSampleError
 from longmem.estimators import sample_stats
-from longmem.montecarlo import run_study
+from longmem.montecarlo import replicate_samples, run_study
 from longmem.sampler import RngStream, generate
 from longmem.spectral import build_model
 
@@ -39,6 +37,20 @@ class TestDeterminism:
         a = run_study(2.2, 40, replicates=40, seed=5)
         b = run_study(2.2, 40, replicates=40, seed=6)
         assert a.mean_var != b.mean_var
+
+
+class TestReplicateSamples:
+    @pytest.mark.parametrize("replicates", [1, 5])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_sample_i_is_stream_i(self, replicates, dense):
+        model = build_model(2.2, 20, dense=dense)
+        samples = list(replicate_samples(model, 7, replicates, dense=dense))
+        assert len(samples) == replicates
+        for i, sample in enumerate(samples):
+            expected = generate(model, RngStream(seed=7, stream_index=i), dense=dense)
+            assert (sample.seed, sample.stream_index) == (7, i)
+            for field in ("epsilon", "series", "standardized"):
+                assert np.array_equal(getattr(sample, field), getattr(expected, field))
 
 
 class TestAggregation:
@@ -92,14 +104,6 @@ class TestValidation:
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
             run_study(2.2, 40, replicates=5, seed=-1)
-
-    def test_degenerate_replicate_aborts_with_stream_index(self, monkeypatch):
-        def fake_generate(model, stream, dense=False):
-            return SimpleNamespace(series=np.ones(model.rn))
-
-        monkeypatch.setattr(montecarlo, "generate", fake_generate)
-        with pytest.raises(DegenerateSampleError, match="stream_index=0"):
-            run_study(2.2, 40, replicates=5, seed=5)
 
     def test_constant_noise_names_its_stream(self, monkeypatch):
         # At beta = 0 the operator is the identity, so constant noise gives

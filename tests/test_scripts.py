@@ -1,6 +1,9 @@
 """Experiment scripts share the command line's flag types: a value the
-library would reject is a usage error (exit 2), not a traceback."""
+library would reject is a usage error (exit 2), not a traceback.  On valid
+flags they run to completion, and the shape gallery writes and prints what
+``longmem hist`` reports."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +13,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+
+
+def _run(*argv, cwd=None):
+    """Run ``python ARGV...`` with the checkout's ``src`` first on PYTHONPATH."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *map(str, argv)], capture_output=True, text=True, cwd=cwd, env=env
+    )
 
 
 @pytest.mark.parametrize(
@@ -25,15 +37,7 @@ SCRIPTS = ROOT / "scripts"
 )
 def test_rejected_values_are_usage_errors(script, args, tmp_path):
     # run outside the checkout, so a script that wrongly starts writes nothing here
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-    )
+    result = _run(SCRIPTS / script, *args, cwd=tmp_path)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
@@ -41,16 +45,31 @@ def test_rejected_values_are_usage_errors(script, args, tmp_path):
 
 def test_gallery_csv_matches_hist_command(tmp_path):
     # the gallery's beta = 10 CSV is the body of `hist` at the same settings
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "shape_gallery.py"), "--outdir", str(tmp_path),
-         "--replicates", "30", "--n", "40", "--bins", "10"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    result = _run(SCRIPTS / "shape_gallery.py", "--outdir", tmp_path,
+                  "--replicates", "30", "--n", "40", "--bins", "10")
     assert result.returncode == 0
     golden = ROOT / "tests" / "golden" / "hist_beta10_n40_r30.csv"
     body = golden.read_text().split("\n", 2)[2]
     assert (tmp_path / "hist_beta10.csv").read_text() == body
+
+
+def test_gallery_fitted_alpha_matches_hist_summary(tmp_path):
+    # 60 replicates at n = 200 pool 11940 samples, enough for a fit
+    settings = ["--replicates", "60", "--n", "200", "--bins", "10"]
+    gallery = _run(SCRIPTS / "shape_gallery.py", "--outdir", tmp_path, *settings)
+    hist = _run("-m", "longmem", "hist", "--beta", "10", *settings)
+    assert gallery.returncode == 0 and hist.returncode == 0
+    summary = json.loads(hist.stdout.splitlines()[1].removeprefix("# summary "))
+    assert summary["fit_alpha"] is not None
+    assert f"beta 10: fitted alpha {summary['fit_alpha']:.3f}  " in gallery.stdout
+
+
+def test_reproduce_tables_prints_three_tables(tmp_path):
+    result = _run(SCRIPTS / "reproduce_tables.py", "--n", "20", "--replicates", "4", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    for heading in (
+        "Operator first rows at n = 5",
+        "Eigenvalue estimates at n = 20",
+        "Measured statistics: n = 20, 4 replicates, seed 5",
+    ):
+        assert heading in result.stdout
