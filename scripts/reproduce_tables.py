@@ -3,58 +3,35 @@
 eigenvalue-estimate column at n = 200, and the measured Monte Carlo
 column beside it.
 
+A sweep of the CLI handlers: the rows are ``longmem spectrum``'s
+``first_row`` at n = 5; one ``longmem study`` per beta gives the estimate
+table (its summary) and the measured table (its rows).
+
 Usage:
     python scripts/reproduce_tables.py [--n 200] [--replicates 500] [--seed 5]
 """
 
 import argparse
 
-from longmem import build_model, eigen_report, run_study
 from longmem._checks import whole
-from longmem.cli import flag_type, n_flag, seed_flag
+from longmem.cli import RunConfig, _cmd_spectrum, _cmd_study, flag_type, n_flag, seed_flag
 from longmem.montecarlo import MIN_REPLICATES
 
 ROW_BETAS = [0.0, 2.2, 3.0, 7.0, 10.0]
 STUDY_BETAS = [2.2, 3.0, 10.0]
 
 
-def print_operator_rows(n):
-    print(f"Operator first rows at n = {n}")
-    for beta in ROW_BETAS:
-        row = build_model(beta, n).first_row
-        cells = " ".join(f"{v:10.3f}" for v in row)
-        print(f"  beta {beta:>4}: {cells}")
-    print()
+def estimate_line(beta, summary):
+    s = summary
+    return (f"  {beta:>5} {s['d_raw']:>9.3f} {s['d_est']:>7.3f} {s['alpha_est']:>7.3f} "
+            f"{s['var_est']:>11.4g} {s['kappa']:>10.4g} {s['slope_fit']:>8.3f}")
 
 
-def print_eigen_table(n):
-    print(f"Eigenvalue estimates at n = {n}")
-    header = f"  {'beta':>5} {'d_raw':>9} {'d_est':>7} {'alpha':>7} {'var_est':>11} {'kappa':>10} {'slope':>8}"
-    print(header)
-    for beta in STUDY_BETAS:
-        r = eigen_report(build_model(beta, n))
-        print(
-            f"  {beta:>5} {r.d_raw:>9.3f} {r.d_est:>7.3f} {r.alpha_est:>7.3f} "
-            f"{r.var_est:>11.4g} {r.kappa:>10.4g} {r.slope_fit:>8.3f}"
-        )
-    print()
-
-
-def print_study_table(n, replicates, seed):
-    print(f"Measured statistics: n = {n}, {replicates} replicates, seed {seed}")
-    print(
-        f"  {'beta':>5} {'stat':>9} {'estimated':>11} {'measured':>11} {'cv':>6}"
-    )
-    for beta in STUDY_BETAS:
-        report = run_study(beta, n, replicates=replicates, seed=seed)
-        rows = [
-            ("d", report.eigen.d_est, report.mean_d, report.cv_d),
-            ("alpha", report.eigen.alpha_est, report.mean_alpha, report.cv_alpha),
-            ("variance", report.eigen.var_est, report.mean_var, report.cv_var),
-        ]
-        for stat, est, mean, cv in rows:
-            print(f"  {beta:>5} {stat:>9} {est:>11.4g} {mean:>11.4g} {cv:>6.2f}")
-    print()
+def measured_lines(beta, columns):
+    rows = zip(columns["statistic"], columns["eigen_estimate"],
+               columns["measured_mean"], columns["measured_cv"])
+    return [f"  {beta:>5} {stat:>9} {est:>11.4g} {mean:>11.4g} {cv:>6.2f}"
+            for stat, est, mean, cv in rows]
 
 
 def main():
@@ -65,9 +42,30 @@ def main():
     parser.add_argument("--seed", type=seed_flag, default=5)
     args = parser.parse_args()
 
-    print_operator_rows(5)
-    print_eigen_table(args.n)
-    print_study_table(args.n, args.replicates, args.seed)
+    print("Operator first rows at n = 5")
+    for beta in ROW_BETAS:
+        columns, _ = _cmd_spectrum(RunConfig("spectrum", beta, 5))
+        cells = " ".join(f"{v:10.3f}" for v in columns["first_row"])
+        print(f"  beta {beta:>4}: {cells}")
+    print()
+
+    studies = [
+        (beta, *_cmd_study(RunConfig("study", beta, args.n, seed=args.seed,
+                                     replicates=args.replicates)))
+        for beta in STUDY_BETAS
+    ]
+
+    print(f"Eigenvalue estimates at n = {args.n}")
+    print(f"  {'beta':>5} {'d_raw':>9} {'d_est':>7} {'alpha':>7} {'var_est':>11} {'kappa':>10} {'slope':>8}")
+    for beta, _, summary in studies:
+        print(estimate_line(beta, summary))
+    print()
+
+    print(f"Measured statistics: n = {args.n}, {args.replicates} replicates, seed {args.seed}")
+    print(f"  {'beta':>5} {'stat':>9} {'estimated':>11} {'measured':>11} {'cv':>6}")
+    for beta, columns, _ in studies:
+        print("\n".join(measured_lines(beta, columns)))
+    print()
 
 
 if __name__ == "__main__":

@@ -258,19 +258,24 @@ def render(cfg):
 
     The command runs before the destination is opened, so a failing command
     leaves an existing output file untouched.  CSV is formatted and written
-    ``CSV_CHUNK_ROWS`` rows at a time; JSON is written as one piece."""
+    ``CSV_CHUNK_ROWS`` rows at a time; JSON is written as one piece.  An
+    undefined (non-finite) summary value is written as ``null``; any other
+    non-finite value is an error rather than invalid JSON."""
     columns, summary = _HANDLERS[cfg.command](cfg)
     meta = _metadata(cfg)
+    if summary is not None:
+        summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in summary.items()}
     if cfg.format == "json":
         values = [np.asarray(v).tolist() for v in columns.values()]
         payload = {"meta": meta, "columns": list(columns), "rows": list(zip(*values))}
         if summary is not None:
             payload["summary"] = summary
-        chunks = [json.dumps(payload, indent=2) + "\n"]
+        chunks = [json.dumps(payload, indent=2, allow_nan=False) + "\n"]
     else:
-        head = "# " + json.dumps(meta) + "\n"
+        head = "# " + json.dumps(meta, allow_nan=False) + "\n"
         if summary is not None:
-            head += "# summary " + json.dumps(summary) + "\n"
+            head += "# summary " + json.dumps(summary, allow_nan=False) + "\n"
         chunks = itertools.chain([head], csv_chunks(columns))
     with _open_output(cfg.output) as out:
         for text in chunks:

@@ -65,7 +65,8 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         Worker count, at least 1; validated only, since replicates run
         serially (a thread pool was slower than one thread).
     dense : bool
-        Route convolutions through the dense oracle.
+        Route transforms, convolutions and the ``eigen`` summary through the
+        dense oracles; ``eigen`` is the ``eigen`` command's report on both routes.
 
     Returns
     -------
@@ -81,7 +82,7 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     whole(workers, "workers", MIN_WORKERS)
 
     model = build_model(beta, n, dense=dense)
-    eigen = eigen_report(model)
+    eigen = eigen_report(model, dense=dense)
 
     measured = np.empty((replicates, 3))
     for i, sample in enumerate(replicate_samples(model, seed, replicates, dense=dense)):

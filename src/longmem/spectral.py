@@ -160,34 +160,27 @@ def build_model(beta, n, dense=False):
         first_row = np.zeros(rn)
         first_row[0] = 1.0
         eigenvalues = np.ones(rn)
-        return SpectralModel(
-            beta=beta,
-            grid=grid,
-            density=_frozen(density),
-            first_row=_frozen(first_row),
-            eigenvalues=_frozen(eigenvalues),
-        )
+    else:
+        b = np.abs(unitary_dft(density, "inverse", dense=dense))
+        # Conjugate symmetry makes elements 1..rn-1 a palindrome up to rounding;
+        # enforce it exactly so the dense operator equals its transpose bit-for-bit.
+        b[1:] = 0.5 * (b[1:] + b[1:][::-1])
+        first_row = b / math.sqrt(rn)
 
-    b = np.abs(unitary_dft(density, "inverse", dense=dense))
-    # Conjugate symmetry makes elements 1..rn-1 a palindrome up to rounding;
-    # enforce it exactly so the dense operator equals its transpose bit-for-bit.
-    b[1:] = 0.5 * (b[1:] + b[1:][::-1])
-    first_row = b / math.sqrt(rn)
-
-    spectrum = math.sqrt(rn) * unitary_dft(first_row, "forward", dense=dense)
-    lam = spectrum.real
-    lam_max = lam.max()
-    imag_max = np.abs(spectrum.imag).max()
-    if imag_max > EIGEN_IMAG_TOL * lam_max:
-        raise ModelConstructionError(
-            f"spectrum of the symmetric row has imaginary residue {imag_max:.3e} "
-            f"against leading eigenvalue {lam_max:.3e}"
-        )
-    if lam.min() <= 0.0:
-        raise ModelConstructionError(
-            f"operator is not positive definite: smallest eigenvalue {lam.min():.3e}"
-        )
-    eigenvalues = np.sort(lam)[::-1]
+        spectrum = math.sqrt(rn) * unitary_dft(first_row, "forward", dense=dense)
+        lam = spectrum.real
+        lam_max = lam.max()
+        imag_max = np.abs(spectrum.imag).max()
+        if imag_max > EIGEN_IMAG_TOL * lam_max:
+            raise ModelConstructionError(
+                f"spectrum of the symmetric row has imaginary residue {imag_max:.3e} "
+                f"against leading eigenvalue {lam_max:.3e}"
+            )
+        if lam.min() <= 0.0:
+            raise ModelConstructionError(
+                f"operator is not positive definite: smallest eigenvalue {lam.min():.3e}"
+            )
+        eigenvalues = np.sort(lam)[::-1]
     return SpectralModel(
         beta=beta,
         grid=grid,

@@ -54,6 +54,21 @@ def parse_csv(text):
     return meta, summary, columns, rows
 
 
+def main_stdout(capsys, *args):
+    """Run the CLI in-process; return its stdout after a zero exit."""
+    assert cli.main(list(args)) == 0
+    return capsys.readouterr().out
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the non-standard NaN and Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def column(rows, columns, name):
     k = columns.index(name)
     return np.array([row[k] for row in rows])
@@ -337,6 +352,19 @@ class TestStudy:
         assert columns == flag_columns == env_columns
         assert rows == flag_rows == env_rows
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["fft", "dense"])
+    @pytest.mark.parametrize("beta, n", [("2.2", "31"), ("10", "40")])
+    def test_summary_is_the_eigen_summary(self, beta, n, dense, capsys):
+        oracle = ["--dense-oracle"] if dense else []
+        eigen = main_stdout(capsys, "eigen", "--beta", beta, "--n", n, *oracle)
+        study = main_stdout(capsys, "study", "--beta", beta, "--n", n,
+                            "--replicates", "3", *oracle)
+        assert study.splitlines()[1].startswith("# summary ")
+        assert study.splitlines()[1] == eigen.splitlines()[1]
+        _, summary, columns, rows = parse_csv(study)
+        estimates = column(rows, columns, "eigen_estimate").tolist()
+        assert estimates == [summary["d_est"], summary["alpha_est"], summary["var_est"]]
+
     def test_golden_json(self):
         result = run_cli(
             "study", "--beta", "2.2", "--n", "20", "--replicates", "10",
@@ -365,6 +393,36 @@ class TestStudy:
         )
         assert result.returncode == 1
         assert json.loads(result.stderr)["error"]["type"] == "ValueError"
+
+
+class TestStrictJson:
+    """Every JSON the CLI writes is RFC 8259 JSON: an undefined summary value
+    is null, and any other non-finite value is an error."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("command", ["eigen", "study"])
+    def test_undefined_slope_is_null(self, command, n, capsys):
+        args = [command, "--beta", "2.2", "--n", str(n)]
+        if command == "study":
+            args += ["--replicates", "3"]
+        lines = main_stdout(capsys, *args).splitlines()
+        strict_json(lines[0][len("# "):])
+        from_csv = strict_json(lines[1][len("# summary "):])
+        from_json = strict_json(main_stdout(capsys, *args, "--format", "json"))["summary"]
+        assert from_csv == from_json
+        if n <= 3:  # rn = 3 leaves one interior rank, too few for a slope
+            assert from_json["slope_fit"] is None
+        else:
+            assert math.isfinite(from_json["slope_fit"])
+
+    def test_non_finite_row_value_is_an_error(self, monkeypatch, capsys):
+        monkeypatch.setitem(cli._HANDLERS, "spectrum",
+                            lambda cfg: ({"value": np.array([math.nan])}, None))
+        argv = ["spectrum", "--beta", "2.2", "--n", "5", "--format", "json"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 class TestResourceErrors:

@@ -1,8 +1,10 @@
 """Experiment scripts share the command line's flag types: a value the
 library would reject is a usage error (exit 2), not a traceback.  On valid
-flags they run to completion, and the shape gallery writes and prints what
-``longmem hist`` reports."""
+flags they run to completion: the shape gallery writes and prints what
+``longmem hist`` reports, and the reference tables print what ``longmem
+spectrum`` and ``longmem study`` report."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +15,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+
+
+def _load_script(name):
+    """Import a script as a module, without running its ``main``."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _run(*argv, cwd=None):
@@ -73,3 +83,16 @@ def test_reproduce_tables_prints_three_tables(tmp_path):
         "Measured statistics: n = 20, 4 replicates, seed 5",
     ):
         assert heading in result.stdout
+    # the tables are the command line's numbers, in the script's own format
+    lines = result.stdout.splitlines()
+    tables = _load_script("reproduce_tables.py")
+    study = json.loads(_run("-m", "longmem", "study", "--beta", "2.2", "--n", "20",
+                            "--replicates", "4", "--format", "json").stdout)
+    columns = dict(zip(study["columns"], zip(*study["rows"])))
+    assert tables.estimate_line(2.2, study["summary"]) in lines
+    for line in tables.measured_lines(2.2, columns):
+        assert line in lines
+    spectrum = json.loads(_run("-m", "longmem", "spectrum", "--beta", "2.2", "--n", "5",
+                               "--format", "json").stdout)
+    first_row = [row[spectrum["columns"].index("first_row")] for row in spectrum["rows"]]
+    assert "  beta  2.2: " + " ".join(f"{v:10.3f}" for v in first_row) in lines
