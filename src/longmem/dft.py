@@ -118,16 +118,36 @@ def circular_convolve(row, v, dense=False):
     if row.size != v.size:
         raise ValueError(f"length mismatch: row has {row.size}, v has {v.size}")
     odd(row.size, "convolution length")
-    if dense:
-        return circulant_matrix(row) @ v
-    w = np.fft.ifft(np.fft.fft(row) * np.fft.fft(v))
-    scale = np.abs(w.real).max()
-    if scale == 0.0:
-        scale = 1.0
-    residue = np.abs(w.imag).max()
-    if residue > IMAG_RESIDUE_TOL * scale:
+    return convolve_rows(convolution_operator(row, dense), v[None])[0]
+
+
+def convolution_operator(row, dense=False):
+    """What :func:`convolve_rows` multiplies by to convolve with ``row``: its
+    FFT, or with ``dense`` its circulant matrix.  Computed once, it serves
+    every block convolved with the same row."""
+    return circulant_matrix(row) if dense else np.fft.fft(row)
+
+
+def convolve_rows(operator, block):
+    """Circular convolution of each row of a ``(rows, n)`` block with the row
+    behind ``operator`` (see :func:`convolution_operator`).
+
+    The FFT route transforms the block along ``axis=1`` and checks each
+    row's imaginary residue; the first row that fails raises
+    ``InternalConsistencyError``.  The dense route multiplies one row at a
+    time, ``C @ v``, as the oracle always has.  Inputs are not validated.
+    """
+    if operator.ndim == 2:
+        return np.array([operator @ v for v in block])
+    w = np.fft.ifft(operator * np.fft.fft(block, axis=1), axis=1)
+    scale = np.abs(w.real).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    residue = np.abs(w.imag).max(axis=1)
+    failed = np.flatnonzero(residue > IMAG_RESIDUE_TOL * scale)
+    if failed.size:
+        k = failed[0]
         raise InternalConsistencyError(
-            f"fast convolution of real inputs left imaginary residue {residue:.3e} "
-            f"(relative to output scale {scale:.3e})"
+            f"fast convolution of real inputs left imaginary residue {residue[k]:.3e} "
+            f"(relative to output scale {scale[k]:.3e})"
         )
     return w.real

@@ -78,14 +78,25 @@ def sample_stats(series):
     SampleStats
     """
     arr = vector(series, "series", 2)
-    lo = float(arr.min())
-    hi = float(arr.max())
-    if hi == lo:
+    stats = row_stats(arr[None])
+    return SampleStats(**{name: float(values[0]) for name, values in vars(stats).items()})
+
+
+def row_stats(block):
+    """:func:`sample_stats` of each row of a ``(rows, length)`` block, as a
+    :class:`SampleStats` of arrays with one entry per row.  Inputs are not
+    validated; the first constant row raises ``DegenerateSampleError``."""
+    lo = block.min(axis=1)
+    hi = block.max(axis=1)
+    if (hi == lo).any():
         raise DegenerateSampleError("constant series has no spread to measure")
-    variance = float(np.var(arr, ddof=1))
+    variance = np.var(block, axis=1, ddof=1)
     spread = hi - lo
-    ratio = variance / spread**2
-    alpha_meas = spread**2 / (8.0 * variance) - 0.5
+    # Python's float power, as one series at a time has always squared the
+    # range; numpy's square differs from it in the last bit on some inputs.
+    squared = np.array([s**2 for s in spread.tolist()])
+    ratio = variance / squared
+    alpha_meas = squared / (8.0 * variance) - 0.5
     return SampleStats(
         variance=variance,
         range=spread,
@@ -140,6 +151,8 @@ def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
         values = vector(sample, "samples", bounds=(0.0, 1.0))
         binned, _ = np.histogram(values[(values != 0.0) & (values != 1.0)], bins=edges)
         counts = binned if counts is None else counts + binned
+        # Dropped here, so each vector is freed before the next is drawn.
+        del sample, values
     if counts is None:
         raise ValueError("at least one standardized vector is required")
     return _from_counts(edges, counts)

@@ -1,10 +1,12 @@
 """Replication harness: measured spread statistics over many seeded
 replicates, reported next to the eigenvalue predictions.
 
-``replicate_samples`` is the one place replicates are drawn: replicate
-``i`` comes from stream ``(seed, i)``, in replicate order.  ``run_study``
-and the ``hist`` command both consume it, so a report or a histogram is a
-pure function of ``(beta, n, replicates, seed)``.
+Replicates are drawn in one place, :func:`longmem.sampler.replicate_blocks`:
+replicate ``i`` comes from stream ``(seed, i)``, in replicate order, a block
+of consecutive replicates at a time.  ``run_study`` reduces each block
+straight to its statistics; ``replicate_samples`` hands the ``hist`` command
+and the shape gallery one replicate at a time.  So a report or a histogram
+is a pure function of ``(beta, n, replicates, seed)``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import whole
-from .estimators import sample_stats
-from .sampler import RngStream, generate
+# generate and sample_stats, the one-replicate forms of the engine's stages,
+# stay importable here: bench/tracer.py wraps them by name.
+from .estimators import row_stats, sample_stats  # noqa: F401
+from .sampler import generate, replicate_blocks  # noqa: F401
 from .spectral import EigenReport, build_model, eigen_report
 
 MIN_REPLICATES = 2
@@ -46,9 +50,12 @@ class MonteCarloReport:
 
 def replicate_samples(model, seed, replicates, dense=False):
     """Yield ``generate(model, RngStream(seed, i), dense=dense)`` for
-    ``i = 0 .. replicates - 1``, one replicate at a time."""
-    for i in range(replicates):
-        yield generate(model, RngStream(seed=seed, stream_index=i), dense=dense)
+    ``i = 0 .. replicates - 1``, one replicate at a time, as row views of
+    the engine's blocks."""
+    for block in replicate_blocks(model, seed, replicates, dense=dense):
+        yield from map(block.sample, range(len(block.epsilon)))
+        # Dropped here, so it is freed before the next block is drawn.
+        del block
 
 
 def run_study(beta, n, replicates, seed, workers=1, dense=False):
@@ -85,9 +92,11 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     eigen = eigen_report(model, dense=dense)
 
     measured = np.empty((replicates, 3))
-    for i, sample in enumerate(replicate_samples(model, seed, replicates, dense=dense)):
-        stats = sample_stats(sample.series)
-        measured[i] = stats.d_meas, stats.alpha_meas, stats.variance
+    for block in replicate_blocks(model, seed, replicates, dense=dense):
+        stats = row_stats(block.series)
+        measured[block.start:block.start + len(block.series)] = np.column_stack(
+            (stats.d_meas, stats.alpha_meas, stats.variance)
+        )
 
     means = measured.mean(axis=0)
     sds = measured.std(axis=0, ddof=1)

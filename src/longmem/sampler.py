@@ -4,6 +4,10 @@ series, and its cosine / standardized descendants.
 Reproducibility contract: a replicate is addressed by ``(seed,
 stream_index)``; the same address always yields the same draws, on any
 platform and regardless of how many other replicates ran before it.
+
+Replicates are drawn here, in :func:`replicate_blocks`: consecutive streams
+in ``(rows, rn)`` blocks sized by ``CHUNK_BYTES``.  :func:`generate` draws
+one replicate and runs the same row-wise stages on one row.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import odd, representable, vector, whole
-from .dft import circular_convolve
+from .dft import circular_convolve, convolution_operator, convolve_rows
 from .errors import DegenerateSampleError, InternalConsistencyError
 
 # Stream construction recorded in output metadata: PCG64 keyed by
@@ -24,6 +28,10 @@ GENERATOR = "pcg64-ziggurat"
 COSINE_TOL = 1e-12
 
 SEED_LIMIT = 2**64
+
+# Bytes of one block's complex128 (rows, rn) transform: a block holds as many
+# replicates as fit, and at least one (so one at rn = 200001).
+CHUNK_BYTES = 100_000
 
 
 @dataclass(frozen=True)
@@ -108,24 +116,90 @@ def generate(model, stream, dense=False):
     """
     epsilon = draw_epsilon(stream, model.rn)
     series = circular_convolve(model.first_row, epsilon, dense=dense)
-    norms = float(np.linalg.norm(model.first_row) * np.linalg.norm(epsilon))
-    cosvec = series / norms
-    worst = float(np.abs(cosvec).max())
-    if worst > 1.0 + COSINE_TOL:
-        raise InternalConsistencyError(
-            f"cosine vector left [-1, 1]: max magnitude {worst!r}"
+    block = _series_block(epsilon[None], series[None], np.linalg.norm(model.first_row),
+                          stream.seed, stream.stream_index)
+    return block.sample(0)
+
+
+@dataclass(frozen=True)
+class SeriesBlock:
+    """Replicates ``start .. start + rows - 1`` of one seed: row ``k`` of each
+    array is the matching :class:`SeriesSample` field of stream
+    ``(seed, start + k)``."""
+
+    epsilon: np.ndarray
+    series: np.ndarray
+    cosvec: np.ndarray
+    standardized: np.ndarray
+    seed: int
+    start: int
+
+    def sample(self, k):
+        """Row ``k`` as a :class:`SeriesSample` of views into this block."""
+        return SeriesSample(
+            epsilon=self.epsilon[k],
+            series=self.series[k],
+            cosvec=self.cosvec[k],
+            standardized=self.standardized[k],
+            seed=self.seed,
+            stream_index=self.start + k,
         )
-    try:
-        standardized = standardize(cosvec)
-    except DegenerateSampleError as exc:
-        raise DegenerateSampleError(f"replicate stream_index={stream.stream_index}: {exc}") from exc
-    return SeriesSample(
+
+
+def replicate_blocks(model, seed, replicates, dense=False):
+    """Yield replicates ``0 .. replicates - 1`` of ``seed`` in consecutive
+    blocks (:class:`SeriesBlock`) of ``max(1, CHUNK_BYTES // (16 * rn))``
+    rows, the last one possibly shorter; replicate ``i`` equals
+    ``generate(model, RngStream(seed, i), dense=dense)`` bit for bit.
+
+    The operator row's FFT (or, with ``dense``, its circulant matrix) and
+    its norm are computed once per call.  A block holds no reference to the
+    one before, so once its consumer drops it only one block is alive.
+
+    Raises
+    ------
+    DegenerateSampleError
+        At the first constant replicate in stream order, naming its stream
+        index.
+    """
+    rn = model.rn
+    operator = convolution_operator(model.first_row, dense)
+    row_norm = np.linalg.norm(model.first_row)
+    rows = max(1, CHUNK_BYTES // (16 * rn))
+    for start in range(0, replicates, rows):
+        yield _draw_block(operator, row_norm, rn, seed, start, min(start + rows, replicates))
+
+
+def _draw_block(operator, row_norm, rn, seed, start, stop):
+    """Replicates ``start .. stop - 1``, built outside the generator so that
+    no local there keeps the previous block alive while this one is drawn."""
+    epsilon = np.empty((stop - start, rn))
+    for k in range(stop - start):
+        epsilon[k] = draw_epsilon(RngStream(seed=seed, stream_index=start + k), rn)
+    return _series_block(epsilon, convolve_rows(operator, epsilon), row_norm, seed, start)
+
+
+@representable
+def _series_block(epsilon, series, row_norm, seed, start):
+    """The block of replicates ``start ..`` from their noise and series: each
+    row divided by its product of 2-norms, checked to lie in [-1, 1], and
+    standardized."""
+    # One BLAS norm per noise row, as one replicate at a time has always taken it.
+    norms = row_norm * np.array([np.linalg.norm(e) for e in epsilon])
+    cosvec = series / norms[:, None]
+    worst = np.abs(cosvec).max(axis=1)
+    failed = np.flatnonzero(worst > 1.0 + COSINE_TOL)
+    if failed.size:
+        raise InternalConsistencyError(
+            f"cosine vector left [-1, 1]: max magnitude {float(worst[failed[0]])!r}"
+        )
+    return SeriesBlock(
         epsilon=epsilon,
         series=series,
         cosvec=cosvec,
-        standardized=standardized,
-        seed=stream.seed,
-        stream_index=stream.stream_index,
+        standardized=_standardize_rows(cosvec, start),
+        seed=seed,
+        start=start,
     )
 
 
@@ -144,9 +218,17 @@ def standardize(values):
     """
     if isinstance(values, SeriesSample):
         values = values.cosvec
-    arr = vector(values, "values")
-    lo = arr.min()
-    hi = arr.max()
-    if hi == lo:
-        raise DegenerateSampleError("constant vector has no range to standardize")
-    return (arr - lo) / (hi - lo)
+    return _standardize_rows(vector(values, "values")[None])[0]
+
+
+def _standardize_rows(block, start=None):
+    """:func:`standardize` of each row of a 2-D block.  The first constant row
+    raises ``DegenerateSampleError``, naming stream ``start + row`` when
+    ``start`` is given."""
+    lo = block.min(axis=1, keepdims=True)
+    hi = block.max(axis=1, keepdims=True)
+    constant = np.flatnonzero(hi == lo)
+    if constant.size:
+        where = "" if start is None else f"replicate stream_index={start + constant[0]}: "
+        raise DegenerateSampleError(f"{where}constant vector has no range to standardize")
+    return (block - lo) / (hi - lo)

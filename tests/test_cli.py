@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from longmem import cli, montecarlo, sampler
-from longmem.sampler import GENERATOR, generate
+from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -158,6 +158,20 @@ class TestExitCodes:
         assert error["type"] == "DegenerateSampleError"
         assert "stream_index=0" in error["message"]
 
+    @pytest.mark.parametrize("failing", [{5}, {5, 7}])
+    def test_degenerate_hist_names_first_failing_stream(self, failing, monkeypatch, capsys):
+        # All 9 replicates in one block: the block reports its first constant row.
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", 9 * 16 * 5)
+        draw = sampler.draw_epsilon
+        monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: (
+            np.ones(rn) if stream.stream_index in failing else draw(stream, rn)))
+        code = cli.main(["hist", "--beta", "0", "--n", "5", "--replicates", "9"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DegenerateSampleError"
+        assert error["message"].startswith("replicate stream_index=5: constant")
+
     def test_empty_replicates_hist_errors(self):
         result = run_cli("hist", "--beta", "2.2", "--n", "10", "--replicates", "0")
         assert result.returncode == 1
@@ -302,20 +316,28 @@ class TestHist:
         assert result.stdout == (GOLDEN / "hist_beta10_n40_r30.csv").read_text()
 
     def test_each_replicate_freed_before_the_next_is_drawn(self, monkeypatch):
-        # Peak memory holds one replicate's vectors, not two: at hist-wide's
-        # size (rn = 200001) each extra sample is about 5 MB.
-        drawn = []
+        # Peak memory holds one block of replicates, not two: at hist-wide's
+        # size (rn = 200001) a block is one replicate of about 8 MB.
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", 1)  # one replicate per block
+        engine, draw = montecarlo.replicate_blocks, sampler.draw_epsilon
+        arrays = []
 
-        def tracked(model, stream, dense=False):
-            assert all(ref() is None for ref in drawn)
-            sample = generate(model, stream, dense=dense)
-            drawn.append(weakref.ref(sample))
-            return sample
+        def tracked_blocks(*args, **kwargs):
+            for block in engine(*args, **kwargs):
+                arrays.extend(weakref.ref(a) for a in (
+                    block.epsilon, block.series, block.cosvec, block.standardized))
+                yield block
+                del block
 
-        monkeypatch.setattr(montecarlo, "generate", tracked)
+        def tracked_draw(stream, rn):
+            assert all(ref() is None for ref in arrays)
+            return draw(stream, rn)
+
+        monkeypatch.setattr(montecarlo, "replicate_blocks", tracked_blocks)
+        monkeypatch.setattr(sampler, "draw_epsilon", tracked_draw)
         argv = ["hist", "--beta", "2.2", "--n", "20", "--replicates", "4", "--output", os.devnull]
         assert cli.main(argv) == 0
-        assert len(drawn) == 4
+        assert len(arrays) == 4 * 4
 
 
 class TestStudy:
@@ -371,6 +393,7 @@ class TestStudy:
             "--format", "json",
         )
         assert result.stdout == (GOLDEN / "study_beta2.2_n20_r10.json").read_text()
+
 
     @pytest.mark.parametrize("args", [
         ("eigen", "--beta", "2", "--n", "5"),
@@ -487,6 +510,41 @@ class TestStreamedOutput:
         lines = result.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "OSError"
+
+
+class TestChunkedReplicates:
+    """Replicates are drawn in blocks sized by ``sampler.CHUNK_BYTES``: at the
+    default budget and at blocks of 1 row, 7 rows and all rows, the bytes
+    are the goldens'."""
+
+    GOLDEN_RUNS = [
+        (("study", "--beta", "2.2", "--n", "200", "--replicates", "1000", "--format", "json"),
+         "study_beta2.2_n200_r1000.json", 201),
+        (("hist", "--beta", "3", "--n", "200", "--replicates", "1000"),
+         "hist_beta3_n200_r1000.csv", 201),
+        (("study", "--beta", "2.2", "--n", "40", "--replicates", "50", "--dense-oracle"),
+         "study_beta2.2_n40_r50_dense.csv", 41),
+    ]
+
+    @pytest.mark.parametrize("args, golden, rn", GOLDEN_RUNS, ids=["study", "hist", "dense"])
+    def test_block_size_does_not_change_bytes(self, args, golden, rn, tmp_path, monkeypatch):
+        # The goldens were recorded one replicate at a time, before blocks.
+        written = set()
+        for budget in (sampler.CHUNK_BYTES, 16 * rn, 7 * 16 * rn, 10**6 * 16 * rn):
+            monkeypatch.setattr(sampler, "CHUNK_BYTES", budget)
+            target = tmp_path / f"budget{budget}.out"
+            assert cli.main([*args, "--output", str(target)]) == 0
+            written.add(target.read_bytes())
+        assert written == {(GOLDEN / golden).read_bytes()}
+
+    @pytest.mark.parametrize("beta", [2.2, 3.0])
+    def test_goldens_span_blocks_at_the_default_budget(self, beta):
+        # The 1000-replicate goldens cross at least two block boundaries and
+        # end in a partial block.
+        sizes = [len(block.epsilon)
+                 for block in sampler.replicate_blocks(build_model(beta, 200), 5, 1000)]
+        assert sum(sizes) == 1000
+        assert len(sizes) >= 3 and sizes[-1] < sizes[0]
 
 
 class TestConsoleEntry:

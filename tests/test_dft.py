@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.dft import circulant_matrix, circular_convolve, unitary_dft
-from longmem.errors import UnsupportedLengthError
+from longmem.dft import (
+    circulant_matrix,
+    circular_convolve,
+    convolution_operator,
+    convolve_rows,
+    unitary_dft,
+)
+from longmem.errors import InternalConsistencyError, UnsupportedLengthError
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -161,6 +167,19 @@ class TestCircularConvolve:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             circular_convolve([1.0, np.inf, 0.0], [1.0, 2.0, 3.0])
+
+    def test_residue_check_is_per_row(self):
+        # Row 2's imaginary residue is 1e-6 of its own scale: it fails against
+        # that scale, though it is far below the scale of row 0.
+        rng = np.random.default_rng(3)
+        row = rng.normal(size=7)
+        block = rng.normal(size=(4, 7)).astype(complex)
+        block[0] *= 1e6
+        clean = convolve_rows(convolution_operator(row), block.real)
+        np.testing.assert_array_equal(clean[1], circular_convolve(row, block[1].real))
+        block[2] += 1e-6j * rng.normal(size=7)
+        with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+            convolve_rows(convolution_operator(row), block)
 
     def test_output_is_real_float(self):
         out = circular_convolve([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])

@@ -15,6 +15,7 @@ from longmem.estimators import (
     accumulate_histogram,
     fit_alpha_from_histogram,
     merge_histograms,
+    row_stats,
     sample_stats,
 )
 from longmem.sampler import RngStream, generate
@@ -113,6 +114,22 @@ class TestSampleStatsContract:
     def test_constant_rejected(self):
         with pytest.raises(DegenerateSampleError):
             sample_stats(np.full(9, 2.0))
+
+    @pytest.mark.parametrize("length", [3, 201, 20001])
+    def test_row_stats_match_scalar_reference(self, length):
+        # The one-series arithmetic in Python floats is the reference; the
+        # squared range is where numpy's square and Python's power differ.
+        rng = np.random.default_rng(length)
+        block = rng.normal(size=(max(2, 60000 // length), length)) * rng.uniform(0.1, 50.0, (1, 1))
+        stats = row_stats(block)
+        for k, row in enumerate(block):
+            spread = float(row.max()) - float(row.min())
+            variance = float(np.var(row, ddof=1))
+            alpha = spread**2 / (8.0 * variance) - 0.5
+            expected = (variance, spread, variance / spread**2, alpha, 2.0 * alpha + 1.0)
+            got = (stats.variance[k], stats.range[k], stats.ratio[k],
+                   stats.alpha_meas[k], stats.d_meas[k])
+            assert got == expected, k
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -111,3 +111,15 @@ class TestValidation:
         monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: np.ones(rn))
         with pytest.raises(DegenerateSampleError, match="stream_index=0: constant"):
             run_study(0.0, 5, replicates=5, seed=5)
+
+    @pytest.mark.parametrize("failing", [{5}, {5, 7}])
+    def test_first_constant_stream_in_a_block_is_named(self, failing, monkeypatch):
+        # All 9 replicates in one block: the first constant row in stream
+        # order is reported, whichever rows after it also fail.
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", 9 * 16 * 5)
+        draw = sampler.draw_epsilon
+        monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: (
+            np.ones(rn) if stream.stream_index in failing else draw(stream, rn)))
+        with pytest.raises(DegenerateSampleError, match="^replicate stream_index=5: constant"):
+            run_study(0.0, 5, replicates=9, seed=5)
+

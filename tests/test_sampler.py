@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.errors import DegenerateSampleError, UnsupportedLengthError
+from longmem import sampler
+from longmem.errors import DegenerateSampleError, InternalConsistencyError, UnsupportedLengthError
 from longmem.sampler import RngStream, draw_epsilon, generate, standardize
 from longmem.spectral import build_model
 
@@ -127,6 +128,24 @@ class TestGenerate:
             spectrum = np.fft.rfft(sample.series)
             power = np.abs(spectrum[1:]) ** 2
             assert power.max() / power.sum() > 0.5
+
+
+    def test_cosine_check_is_per_row(self, monkeypatch):
+        # Rows 3 and 6 of one block leave [-1, 1]; the message gives row 3's
+        # magnitude (at most 1e3), not row 6's (above 1e3).
+        convolve = sampler.convolve_rows
+
+        def inflated(operator, block):
+            series = convolve(operator, block).copy()
+            series[3] *= 1e3
+            series[6] *= 1e9
+            return series
+
+        monkeypatch.setattr(sampler, "convolve_rows", inflated)
+        blocks = sampler.replicate_blocks(build_model(2.2, 20), 5, 9)
+        with pytest.raises(InternalConsistencyError, match="cosine vector left") as caught:
+            next(blocks)
+        assert 1.0 < float(str(caught.value).rsplit(" ", 1)[1]) <= 1e3
 
 
 class TestStandardize:
