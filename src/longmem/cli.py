@@ -29,8 +29,8 @@ from . import __version__
 from ._checks import real, whole
 from .errors import InsufficientDataError, LongmemError
 from .estimators import MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import MIN_WORKERS, replicate_samples, run_study
-from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate
+from .montecarlo import MIN_WORKERS, run_study
+from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate, replicate_blocks
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_grid, build_model, eigen_report
 
 PROG = "longmem"
@@ -128,8 +128,14 @@ def build_parser():
 def config_from_args(args):
     cfg = RunConfig(**vars(args))
     if cfg.workers is None:
-        # Only study has --workers; without the flag it reads the environment.
-        cfg.workers = whole(int(os.environ.get(WORKERS_ENV, 1)), WORKERS_ENV, MIN_WORKERS)
+        # Only study has --workers; without the flag it reads the environment,
+        # parsed and checked as the flag is, with errors naming the variable.
+        text = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+        cfg.workers = whole(workers, WORKERS_ENV, MIN_WORKERS)
     return cfg
 
 
@@ -153,9 +159,7 @@ def _metadata(cfg):
 
 def _cmd_generate(cfg):
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
-    sample = generate(
-        model, RngStream(seed=cfg.seed, stream_index=0), dense=cfg.dense_oracle
-    )
+    sample = generate(model, RngStream(seed=cfg.seed, stream_index=0))
     columns = {
         "index": np.arange(model.rn),
         "epsilon": sample.epsilon,
@@ -178,7 +182,7 @@ def _cmd_spectrum(cfg):
 
 def _cmd_eigen(cfg):
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
-    report = eigen_report(model, dense=cfg.dense_oracle)
+    report = eigen_report(model)
     ranks = range(1, len(model.eigenvalues) + 1)
     # math.log10, not np.log10: the two differ in the last bit on some inputs.
     columns = {
@@ -192,10 +196,10 @@ def _cmd_eigen(cfg):
 
 def _cmd_hist(cfg):
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
-    samples = replicate_samples(model, cfg.seed, cfg.replicates, dense=cfg.dense_oracle)
-    # map, unlike a generator expression, keeps no reference to the previous
-    # sample while the next is drawn, so its rn-vectors are freed first.
-    vectors = map(operator.attrgetter("standardized"), samples)
+    blocks = replicate_blocks(model, cfg.seed, cfg.replicates)
+    # map and chain, unlike a generator expression, keep no reference to the
+    # previous block while the next is drawn, so its arrays are freed first.
+    vectors = itertools.chain.from_iterable(map(operator.attrgetter("standardized"), blocks))
     hist = accumulate_histogram(vectors, bin_count=cfg.bins)
     try:
         fitted = fit_alpha_from_histogram(hist)

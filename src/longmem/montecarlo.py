@@ -3,9 +3,9 @@ replicates, reported next to the eigenvalue predictions.
 
 Replicates are drawn in one place, :func:`longmem.sampler.replicate_blocks`:
 replicate ``i`` comes from stream ``(seed, i)``, in replicate order, a block
-of consecutive replicates at a time.  ``run_study`` reduces each block
-straight to its statistics; ``replicate_samples`` hands the ``hist`` command
-and the shape gallery one replicate at a time.  So a report or a histogram
+of consecutive replicates at a time, on the model's route.  ``run_study``
+reduces each block straight to its statistics; ``hist`` and the shape
+gallery pool each block's standardized rows.  So a report or a histogram
 is a pure function of ``(beta, n, replicates, seed)``.
 """
 
@@ -48,16 +48,6 @@ class MonteCarloReport:
     cv_var: float
 
 
-def replicate_samples(model, seed, replicates, dense=False):
-    """Yield ``generate(model, RngStream(seed, i), dense=dense)`` for
-    ``i = 0 .. replicates - 1``, one replicate at a time, as row views of
-    the engine's blocks."""
-    for block in replicate_blocks(model, seed, replicates, dense=dense):
-        yield from map(block.sample, range(len(block.epsilon)))
-        # Dropped here, so it is freed before the next block is drawn.
-        del block
-
-
 def run_study(beta, n, replicates, seed, workers=1, dense=False):
     """Run a replicated study of the model at one (beta, n).
 
@@ -72,8 +62,9 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         Worker count, at least 1; validated only, since replicates run
         serially (a thread pool was slower than one thread).
     dense : bool
-        Route transforms, convolutions and the ``eigen`` summary through the
-        dense oracles; ``eigen`` is the ``eigen`` command's report on both routes.
+        Build the model on the dense route, which its transforms, convolutions
+        and ``eigen`` summary follow; ``eigen`` is the ``eigen`` command's
+        report on both routes.
 
     Returns
     -------
@@ -89,10 +80,10 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     whole(workers, "workers", MIN_WORKERS)
 
     model = build_model(beta, n, dense=dense)
-    eigen = eigen_report(model, dense=dense)
+    eigen = eigen_report(model)
 
     measured = np.empty((replicates, 3))
-    for block in replicate_blocks(model, seed, replicates, dense=dense):
+    for block in replicate_blocks(model, seed, replicates):
         stats = row_stats(block.series)
         measured[block.start:block.start + len(block.series)] = np.column_stack(
             (stats.d_meas, stats.alpha_meas, stats.variance)

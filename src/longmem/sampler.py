@@ -7,7 +7,8 @@ platform and regardless of how many other replicates ran before it.
 
 Replicates are drawn here, in :func:`replicate_blocks`: consecutive streams
 in ``(rows, rn)`` blocks sized by ``CHUNK_BYTES``.  :func:`generate` draws
-one replicate and runs the same row-wise stages on one row.
+one replicate and runs the same row-wise stages on one row.  Both follow
+the route the model carries, ``model.dense``.
 """
 
 from __future__ import annotations
@@ -90,20 +91,19 @@ def draw_epsilon(stream, rn):
     return stream.generator().standard_normal(rn)
 
 
-def generate(model, stream, dense=False):
+def generate(model, stream):
     """Generate one realization of the model from one stream.
 
     The raw series is the circular convolution of the operator row with
     the noise; dividing by the product of 2-norms turns each entry into
     the cosine of the angle between a row of the operator and the noise
-    vector, and range-standardizing that maps it onto [0, 1].
+    vector, and range-standardizing that maps it onto [0, 1].  A dense
+    model convolves via the O(rn^2) oracle.
 
     Parameters
     ----------
     model : SpectralModel
     stream : RngStream
-    dense : bool
-        Convolve via the dense O(rn^2) oracle.
 
     Returns
     -------
@@ -115,7 +115,7 @@ def generate(model, stream, dense=False):
         If the series is constant; the message names the stream index.
     """
     epsilon = draw_epsilon(stream, model.rn)
-    series = circular_convolve(model.first_row, epsilon, dense=dense)
+    series = circular_convolve(model.first_row, epsilon, dense=model.dense)
     block = _series_block(epsilon[None], series[None], np.linalg.norm(model.first_row),
                           stream.seed, stream.stream_index)
     return block.sample(0)
@@ -146,13 +146,13 @@ class SeriesBlock:
         )
 
 
-def replicate_blocks(model, seed, replicates, dense=False):
+def replicate_blocks(model, seed, replicates):
     """Yield replicates ``0 .. replicates - 1`` of ``seed`` in consecutive
     blocks (:class:`SeriesBlock`) of ``max(1, CHUNK_BYTES // (16 * rn))``
     rows, the last one possibly shorter; replicate ``i`` equals
-    ``generate(model, RngStream(seed, i), dense=dense)`` bit for bit.
+    ``generate(model, RngStream(seed, i))`` bit for bit.
 
-    The operator row's FFT (or, with ``dense``, its circulant matrix) and
+    The operator row's FFT (or, on a dense model, its circulant matrix) and
     its norm are computed once per call.  A block holds no reference to the
     one before, so once its consumer drops it only one block is alive.
 
@@ -163,7 +163,7 @@ def replicate_blocks(model, seed, replicates, dense=False):
         index.
     """
     rn = model.rn
-    operator = convolution_operator(model.first_row, dense)
+    operator = convolution_operator(model.first_row, model.dense)
     row_norm = np.linalg.norm(model.first_row)
     rows = max(1, CHUNK_BYTES // (16 * rn))
     for start in range(0, replicates, rows):

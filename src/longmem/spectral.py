@@ -58,6 +58,8 @@ class SpectralModel:
     first_row : defining row of the circulant operator; elements after the
         first form an exact palindrome, so the operator is symmetric
     eigenvalues : operator spectrum, sorted descending, strictly positive
+    dense : the route of the model's construction, :func:`eigen_report` and
+        replicate convolutions: the O(n^2) oracles if true, else the FFT
     """
 
     beta: float
@@ -65,6 +67,7 @@ class SpectralModel:
     density: np.ndarray
     first_row: np.ndarray
     eigenvalues: np.ndarray
+    dense: bool
 
     @property
     def rn(self) -> int:
@@ -139,7 +142,7 @@ def build_model(beta, n, dense=False):
     n : int
         Requested sample count, at least 2.
     dense : bool
-        Route the internal transforms through the O(n^2) oracle.
+        Route every transform on the model through the O(n^2) oracles.
 
     Returns
     -------
@@ -187,13 +190,14 @@ def build_model(beta, n, dense=False):
         density=_frozen(density),
         first_row=_frozen(first_row),
         eigenvalues=_frozen(eigenvalues),
+        dense=bool(dense),
     )
 
 
-def eigen_report(model, dense=False):
+def eigen_report(model):
     """Eigenvalue-derived estimates for a model.
 
-    With ``dense=True`` the spectrum is recomputed from the explicit
+    On a dense model the spectrum is recomputed from the explicit
     operator matrix with a general symmetric eigensolver (an O(rn^3)
     oracle that never touches the transform identity).
 
@@ -203,13 +207,12 @@ def eigen_report(model, dense=False):
     Parameters
     ----------
     model : SpectralModel
-    dense : bool
 
     Returns
     -------
     EigenReport
     """
-    if dense:
+    if model.dense:
         lam = np.sort(np.linalg.eigvalsh(dense_operator(model)))[::-1]
     else:
         lam = model.eigenvalues

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longmem import cli, montecarlo, sampler
+from longmem import cli, sampler
 from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
@@ -177,6 +177,19 @@ class TestExitCodes:
         assert result.returncode == 1
         assert json.loads(result.stderr)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("workers", ["abc", "2.5"])
+    def test_malformed_workers_env_names_the_variable(self, workers):
+        result = run_cli(
+            "study", "--beta", "2.2", "--n", "10", "--replicates", "4",
+            env_extra={"LONGMEM_WORKERS": workers},
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        error = json.loads(line)["error"]
+        assert error == {"type": "ValueError",
+                         "message": f"LONGMEM_WORKERS must be an integer, got {workers!r}"}
+
     def test_unwritable_output_exit_1_names_path(self):
         result = run_cli(
             "spectrum", "--beta", "2.2", "--n", "5",
@@ -319,7 +332,7 @@ class TestHist:
         # Peak memory holds one block of replicates, not two: at hist-wide's
         # size (rn = 200001) a block is one replicate of about 8 MB.
         monkeypatch.setattr(sampler, "CHUNK_BYTES", 1)  # one replicate per block
-        engine, draw = montecarlo.replicate_blocks, sampler.draw_epsilon
+        engine, draw = cli.replicate_blocks, sampler.draw_epsilon
         arrays = []
 
         def tracked_blocks(*args, **kwargs):
@@ -333,7 +346,7 @@ class TestHist:
             assert all(ref() is None for ref in arrays)
             return draw(stream, rn)
 
-        monkeypatch.setattr(montecarlo, "replicate_blocks", tracked_blocks)
+        monkeypatch.setattr(cli, "replicate_blocks", tracked_blocks)
         monkeypatch.setattr(sampler, "draw_epsilon", tracked_draw)
         argv = ["hist", "--beta", "2.2", "--n", "20", "--replicates", "4", "--output", os.devnull]
         assert cli.main(argv) == 0

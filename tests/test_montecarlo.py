@@ -10,8 +10,8 @@ import pytest
 import longmem.sampler as sampler
 from longmem.errors import DegenerateSampleError
 from longmem.estimators import sample_stats
-from longmem.montecarlo import replicate_samples, run_study
-from longmem.sampler import RngStream, generate
+from longmem.montecarlo import run_study
+from longmem.sampler import RngStream, generate, replicate_blocks
 from longmem.spectral import build_model
 
 
@@ -40,14 +40,19 @@ class TestDeterminism:
 
 
 class TestReplicateSamples:
+    """Row ``k`` of ``replicate_blocks`` is ``generate(model, RngStream(seed,
+    k))``, on the model's route."""
+
     @pytest.mark.parametrize("replicates", [1, 5])
     @pytest.mark.parametrize("dense", [False, True])
-    def test_sample_i_is_stream_i(self, replicates, dense):
+    def test_sample_i_is_stream_i(self, replicates, dense, monkeypatch):
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", 16 * 21 * 2)  # two rows per block
         model = build_model(2.2, 20, dense=dense)
-        samples = list(replicate_samples(model, 7, replicates, dense=dense))
+        samples = [block.sample(k) for block in replicate_blocks(model, 7, replicates)
+                   for k in range(len(block.epsilon))]
         assert len(samples) == replicates
         for i, sample in enumerate(samples):
-            expected = generate(model, RngStream(seed=7, stream_index=i), dense=dense)
+            expected = generate(model, RngStream(seed=7, stream_index=i))
             assert (sample.seed, sample.stream_index) == (7, i)
             for field in ("epsilon", "series", "standardized"):
                 assert np.array_equal(getattr(sample, field), getattr(expected, field))

@@ -1,12 +1,15 @@
 """Sampling tests: stream reproducibility, convolution routing, and the
 cosine / standardized transforms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longmem import sampler
+from longmem.dft import circulant_matrix, circular_convolve
 from longmem.errors import DegenerateSampleError, InternalConsistencyError, UnsupportedLengthError
 from longmem.sampler import RngStream, draw_epsilon, generate, standardize
 from longmem.spectral import build_model
@@ -91,11 +94,22 @@ class TestGenerate:
     def test_dense_route_matches_fast(self):
         model = build_model(2.2, 51)
         fast = generate(model, RngStream(seed=5))
-        dense = generate(model, RngStream(seed=5), dense=True)
+        dense = generate(replace(model, dense=True), RngStream(seed=5))
         np.testing.assert_array_equal(fast.epsilon, dense.epsilon)
         assert np.abs(fast.series - dense.series).max() <= 1e-9 * np.abs(
             dense.series
         ).max()
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["fft", "dense"])
+    def test_series_follows_the_model_route(self, dense):
+        # Bit for bit: the series is convolved on the route the model carries.
+        model = build_model(2.2, 41, dense=dense)
+        sample = generate(model, RngStream(seed=5))
+        if dense:
+            expected = circulant_matrix(model.first_row) @ sample.epsilon
+        else:
+            expected = circular_convolve(model.first_row, sample.epsilon)
+        np.testing.assert_array_equal(sample.series, expected)
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_cosine_bounded(self, beta):

@@ -1,6 +1,7 @@
 """Grid, model, and eigenvalue-report tests against closed-form oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,8 +247,15 @@ class TestEigenReport:
     def test_dense_solver_route_agrees(self):
         model = build_model(2.2, 31)
         fast = eigen_report(model)
-        dense = eigen_report(model, dense=True)
+        dense = eigen_report(replace(model, dense=True))
         assert dense.d_est == pytest.approx(fast.d_est, rel=1e-9)
         assert dense.var_est == pytest.approx(fast.var_est, rel=1e-9)
         assert dense.kappa == pytest.approx(fast.kappa, rel=1e-7)
         assert dense.slope_fit == pytest.approx(fast.slope_fit, rel=1e-7)
+
+    def test_dense_model_reports_from_dense_solver(self):
+        # Bit for bit: a dense model reports from its eigvalsh spectrum.
+        model = build_model(2.2, 41, dense=True)
+        solved = np.sort(np.linalg.eigvalsh(dense_operator(model)))[::-1]
+        expected = eigen_report(replace(model, eigenvalues=solved, dense=False))
+        assert eigen_report(model) == expected
