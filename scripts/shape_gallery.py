@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from longmem._checks import whole
-from longmem.cli import RunConfig, _cmd_hist, bins_flag, csv_chunks, flag_type, n_flag, seed_flag
+from longmem.cli import DEFAULT_SEED, RunConfig, _cmd_hist, bins_flag, csv_chunks, flag_type, n_flag, seed_flag
+from longmem.estimators import DEFAULT_BIN_COUNT
 
 GALLERY_BETAS = [0.001, 2.2, 4.0, 10.0]
 
@@ -39,8 +40,8 @@ def main():
     parser.add_argument("--replicates", default=200,
                         type=flag_type(int, whole, "replicates", minimum=1))
     parser.add_argument("--n", type=n_flag, default=200)
-    parser.add_argument("--bins", type=bins_flag, default=100)
-    parser.add_argument("--seed", type=seed_flag, default=5)
+    parser.add_argument("--bins", type=bins_flag, default=DEFAULT_BIN_COUNT)
+    parser.add_argument("--seed", type=seed_flag, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)

@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import operator
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import __version__
 from ._checks import real, whole
 from .errors import InsufficientDataError, LongmemError
-from .estimators import MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
+from .estimators import DEFAULT_BIN_COUNT, MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
 from .montecarlo import MIN_WORKERS, run_study
 from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate, replicate_blocks
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_grid, build_model, eigen_report
@@ -37,8 +36,6 @@ PROG = "longmem"
 
 DEFAULT_SEED = 5
 DEFAULT_REPLICATES = 500
-DEFAULT_BINS = 100
-WORKERS_ENV = "LONGMEM_WORKERS"
 
 _FLOAT_FMT = "%.17g"
 # CSV cell format by numpy dtype kind; text and booleans print with %s.
@@ -56,7 +53,7 @@ class RunConfig:
     n: int
     seed: int = DEFAULT_SEED
     replicates: int = DEFAULT_REPLICATES
-    bins: int = DEFAULT_BINS
+    bins: int = DEFAULT_BIN_COUNT
     format: str = "csv"
     output: str = "-"
     workers: int = 1
@@ -114,29 +111,19 @@ def build_parser():
                           help="pooled histogram of standardized replicates")
     hist.add_argument("--replicates", type=replicates_flag, default=DEFAULT_REPLICATES,
                       help="replicate count (default %(default)s)")
-    hist.add_argument("--bins", type=bins_flag, default=DEFAULT_BINS,
+    hist.add_argument("--bins", type=bins_flag, default=DEFAULT_BIN_COUNT,
                       help="histogram bin count (default %(default)s)")
     study = sub.add_parser("study", parents=[common],
                            help="replicated study: eigenvalue estimates vs measured statistics")
     study.add_argument("--replicates", type=replicates_flag, default=DEFAULT_REPLICATES,
                        help="replicate count (default %(default)s)")
-    study.add_argument("--workers", type=workers_flag, default=None,
-                       help=f"worker count, recorded only (default ${WORKERS_ENV} or 1); replicates run serially")
+    study.add_argument("--workers", type=workers_flag, default=1,
+                       help="worker count, recorded only (default %(default)s); replicates run serially")
     return parser
 
 
 def config_from_args(args):
-    cfg = RunConfig(**vars(args))
-    if cfg.workers is None:
-        # Only study has --workers; without the flag it reads the environment,
-        # parsed and checked as the flag is, with errors naming the variable.
-        text = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
-        cfg.workers = whole(workers, WORKERS_ENV, MIN_WORKERS)
-    return cfg
+    return RunConfig(**vars(args))
 
 
 def _metadata(cfg):

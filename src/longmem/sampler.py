@@ -147,14 +147,15 @@ class SeriesBlock:
 
 
 def replicate_blocks(model, seed, replicates):
-    """Yield replicates ``0 .. replicates - 1`` of ``seed`` in consecutive
+    """Iterate over replicates ``0 .. replicates - 1`` of ``seed`` in consecutive
     blocks (:class:`SeriesBlock`) of ``max(1, CHUNK_BYTES // (16 * rn))``
     rows, the last one possibly shorter; replicate ``i`` equals
     ``generate(model, RngStream(seed, i))`` bit for bit.
 
     The operator row's FFT (or, on a dense model, its circulant matrix) and
-    its norm are computed once per call.  A block holds no reference to the
-    one before, so once its consumer drops it only one block is alive.
+    its norm are computed once per call, after ``seed`` and ``replicates``
+    are checked.  A block holds no reference to the one before, so once its
+    consumer drops it only one block is alive.
 
     Raises
     ------
@@ -162,12 +163,14 @@ def replicate_blocks(model, seed, replicates):
         At the first constant replicate in stream order, naming its stream
         index.
     """
+    seed = whole(seed, "seed", limit=SEED_LIMIT)
+    replicates = whole(replicates, "replicates")
     rn = model.rn
     operator = convolution_operator(model.first_row, model.dense)
     row_norm = np.linalg.norm(model.first_row)
     rows = max(1, CHUNK_BYTES // (16 * rn))
-    for start in range(0, replicates, rows):
-        yield _draw_block(operator, row_norm, rn, seed, start, min(start + rows, replicates))
+    return (_draw_block(operator, row_norm, rn, seed, start, min(start + rows, replicates))
+            for start in range(0, replicates, rows))
 
 
 def _draw_block(operator, row_norm, rn, seed, start, stop):
@@ -207,17 +210,14 @@ def _series_block(epsilon, series, row_norm, seed, start):
 def standardize(values):
     """Map a vector affinely onto [0, 1] with exact endpoint values.
 
-    Accepts a plain vector or a :class:`SeriesSample` (its cosine vector
-    is standardized).  The minimum maps to exactly 0.0 and the maximum to
-    exactly 1.0; invariant under location-scale changes of the input.
+    The minimum maps to exactly 0.0 and the maximum to exactly 1.0;
+    invariant under location-scale changes of the input.
 
     Raises
     ------
     DegenerateSampleError
         If the vector is constant.
     """
-    if isinstance(values, SeriesSample):
-        values = values.cosvec
     return _standardize_rows(vector(values, "values")[None])[0]
 
 

@@ -19,10 +19,13 @@ from longmem.dft import circulant_matrix, circular_convolve, unitary_dft
 from longmem.errors import LongmemError
 from longmem.estimators import accumulate_histogram, sample_stats
 from longmem.montecarlo import run_study
-from longmem.sampler import SEED_LIMIT, RngStream, draw_epsilon, standardize
+from longmem.sampler import SEED_LIMIT, RngStream, draw_epsilon, replicate_blocks, standardize
 from longmem.spectral import BETA_MAX, BETA_MIN, build_grid, build_model
 
-# name, call taking the value, out-of-range values, an accepted numpy value
+MODEL = build_model(2.2, 5)
+
+# name, call taking the value, out-of-range values, an accepted numpy value;
+# a parameter checked at a second entry point is a pytest.param naming both.
 INTEGER_PARAMETERS = [
     ("n", build_grid, [1, 0, -5], np.int64(5)),
     ("seed", lambda v: RngStream(seed=v), [-1, SEED_LIMIT], np.uint64(SEED_LIMIT - 1)),
@@ -36,13 +39,18 @@ INTEGER_PARAMETERS = [
         [1, 0],
         np.int64(5),
     ),
+    # The replicate engine checks its arguments when called, not when iterated.
+    pytest.param("seed", lambda v: replicate_blocks(MODEL, v, 2), [-1, SEED_LIMIT],
+                 np.uint64(SEED_LIMIT - 1), id="replicate_blocks.seed"),
+    pytest.param("replicates", lambda v: replicate_blocks(MODEL, 5, v), [-1], np.int64(2),
+                 id="replicate_blocks.replicates"),
 ]
 
 
 @pytest.mark.parametrize(
     "name, call, out_of_range, accepted",
     INTEGER_PARAMETERS,
-    ids=[p[0] for p in INTEGER_PARAMETERS],
+    ids=[getattr(p, "id", None) or p[0] for p in INTEGER_PARAMETERS],
 )
 def test_integer_parameter_boundary(name, call, out_of_range, accepted):
     for bad in (5.7, "5", 5.0, None):

@@ -170,7 +170,7 @@ class TestStandardize:
     def test_accepts_sample(self):
         model = build_model(2.2, 40)
         sample = generate(model, RngStream(seed=5))
-        np.testing.assert_array_equal(standardize(sample), sample.standardized)
+        np.testing.assert_array_equal(standardize(sample.cosvec), sample.standardized)
 
     @given(
         st.lists(
