@@ -9,6 +9,15 @@ Replicates are drawn here, in :func:`replicate_blocks`: consecutive streams
 in ``(rows, rn)`` blocks sized by ``CHUNK_BYTES``.  :func:`generate` draws
 one replicate and runs the same row-wise stages on one row.  Both follow
 the route the model carries, ``model.dense``.
+
+A stream is ``PCG64(SeedSequence(entropy=seed, spawn_key=(stream_index,)))``
+(NumPy NEP 19), which :meth:`RngStream.generator` builds one at a time.
+The engine keys a block of streams at once instead (:class:`_StreamKeyer`):
+the seed's part of the SeedSequence hash is computed once per call, each
+index's spawn words are hashed in numpy uint32 arithmetic, and PCG64's
+seeding step (O'Neill 2014) runs on Python ints.  Each row's state is then
+set on one reused generator, so the draws equal the one-at-a-time
+streams' bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +42,14 @@ SEED_LIMIT = 2**64
 # Bytes of one block's complex128 (rows, rn) transform: a block holds as many
 # replicates as fit, and at least one (so one at rn = 200001).
 CHUNK_BYTES = 100_000
+
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -168,18 +185,91 @@ def replicate_blocks(model, seed, replicates):
     rn = model.rn
     operator = convolution_operator(model.first_row, model.dense)
     row_norm = np.linalg.norm(model.first_row)
+    keyer = _StreamKeyer(seed)
     rows = max(1, CHUNK_BYTES // (16 * rn))
-    return (_draw_block(operator, row_norm, rn, seed, start, min(start + rows, replicates))
+    return (_draw_block(operator, row_norm, keyer, rn, start, min(start + rows, replicates))
             for start in range(0, replicates, rows))
 
 
-def _draw_block(operator, row_norm, rn, seed, start, stop):
+def _draw_block(operator, row_norm, keyer, rn, start, stop):
     """Replicates ``start .. stop - 1``, built outside the generator so that
     no local there keeps the previous block alive while this one is drawn."""
+    epsilon = _draw_noise(keyer, start, stop, rn)
+    return _series_block(epsilon, convolve_rows(operator, epsilon), row_norm, keyer.seed, start)
+
+
+def _draw_noise(keyer, start, stop, rn):
+    """The ``(stop - start, rn)`` noise of replicates ``start .. stop - 1``:
+    row ``k`` is ``draw_epsilon(RngStream(keyer.seed, start + k), rn)`` bit
+    for bit.  The engine's one source of noise."""
     epsilon = np.empty((stop - start, rn))
-    for k in range(stop - start):
-        epsilon[k] = draw_epsilon(RngStream(seed=seed, stream_index=start + k), rn)
-    return _series_block(epsilon, convolve_rows(operator, epsilon), row_norm, seed, start)
+    generator = keyer.generator
+    bit_generator = generator.bit_generator
+    for row, (state, inc) in zip(epsilon, keyer.states(start, stop)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.standard_normal(out=row)
+    return epsilon
+
+
+class _StreamKeyer:
+    """PCG64 states of the streams ``(seed, i)`` of one checked seed, keyed a
+    block of indices at a time, and the one generator they are drawn on.
+
+    ``SeedSequence(entropy=seed, spawn_key=(i,))`` pads the seed's uint32
+    words to its 4-word pool and mixes them, then hashes the spawn words of
+    ``i`` (one below 2**32, two from there) into the pool, then runs
+    ``generate_state(4, uint64)``.  The first step depends on the seed alone
+    and is done here once; the hash constant it leaves does not depend on
+    the data at all.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        # Unpadded, SeedSequence(seed) hashes zeros for the missing words,
+        # so its pool is the padded pool a spawn key is mixed into.
+        self.pool = np.random.SeedSequence(seed).pool
+        # The running hash constant after the pool's 4 + 12 hashes, for the
+        # 4 hashes of each spawn word; and generate_state's, for its 8 words.
+        spawn = _hash_constants(_INIT_A, _MULT_A, 16, 8)
+        self.spawn_xor, self.spawn_mul = spawn[:-1].reshape(2, 4), spawn[1:].reshape(2, 4)
+        state = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+        self.state_xor, self.state_mul = state[:-1], state[1:]
+        self.generator = np.random.Generator(np.random.PCG64(0))
+
+    def states(self, start, stop):
+        """``(state, inc)`` as Python ints, in index order, of
+        ``PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))`` for ``i`` in
+        ``start .. stop - 1``."""
+        index = np.arange(start, stop, dtype=np.uint64)
+        pool = self.pool
+        for j, word in enumerate((index & _MASK32, index >> 32)):
+            word = word.astype(np.uint32)[:, None]
+            mixed = _fold(_MIX_MULT_L * pool
+                          - _MIX_MULT_R * _fold((word ^ self.spawn_xor[j]) * self.spawn_mul[j]))
+            # Only an index from 2**32 up has a second spawn word.
+            pool = mixed if j == 0 else np.where((index > _MASK32)[:, None], mixed, pool)
+        words = _fold((pool[:, [0, 1, 2, 3, 0, 1, 2, 3]] ^ self.state_xor) * self.state_mul)
+        # generate_state pairs the words little-endian into four uint64s:
+        # PCG64's initstate and initseq, high half first.
+        pairs = np.ascontiguousarray(words, "<u4").view("<u8").tolist()
+        for state_hi, state_lo, seq_hi, seq_lo in pairs:
+            # pcg64_set_seed: inc = 2 initseq + 1; one step from state 0
+            # gives inc; add initstate; one more step.
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            yield (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _hash_constants(init, mult, first, count):
+    """Values ``first .. first + count`` of SeedSequence's running hash
+    constant ``init * mult**k mod 2**32``, as uint32."""
+    return np.array([init * pow(mult, k, 2**32) & _MASK32
+                     for k in range(first, first + count + 1)], dtype=np.uint32)
+
+
+def _fold(words):
+    """``words ^ (words >> 16)``, the last step of each SeedSequence hash and mix."""
+    return words ^ (words >> 16)
 
 
 @representable
@@ -187,8 +277,7 @@ def _series_block(epsilon, series, row_norm, seed, start):
     """The block of replicates ``start ..`` from their noise and series: each
     row divided by its product of 2-norms, checked to lie in [-1, 1], and
     standardized."""
-    # One BLAS norm per noise row, as one replicate at a time has always taken it.
-    norms = row_norm * np.array([np.linalg.norm(e) for e in epsilon])
+    norms = row_norm * _row_norms(epsilon)
     cosvec = series / norms[:, None]
     worst = np.abs(cosvec).max(axis=1)
     failed = np.flatnonzero(worst > 1.0 + COSINE_TOL)
@@ -204,6 +293,14 @@ def _series_block(epsilon, series, row_norm, seed, start):
         seed=seed,
         start=start,
     )
+
+
+def _row_norms(block):
+    """The 2-norm of each row of a 2-D block, bit for bit ``np.linalg.norm``
+    of the row: a stacked vector @ vector is the same one BLAS dot of the row
+    with itself, where a block-wide ``axis=1`` norm would sum in another
+    order."""
+    return np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
 
 
 @representable

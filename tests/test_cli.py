@@ -18,6 +18,16 @@ from longmem.spectral import build_model, eigen_report
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def constant_rows(draw, failing):
+    """``draw`` (``sampler._draw_noise``) with the rows of the streams in
+    ``failing`` made constant."""
+    def drawn(keyer, start, stop, rn):
+        epsilon = draw(keyer, start, stop, rn)
+        epsilon[[i - start for i in sorted(failing) if start <= i < stop]] = 1.0
+        return epsilon
+    return drawn
+
+
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
@@ -150,7 +160,8 @@ class TestExitCodes:
         assert "replicates" in error["message"]
 
     def test_degenerate_hist_replicate_names_its_stream(self, monkeypatch, capsys):
-        monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: np.ones(rn))
+        monkeypatch.setattr(sampler, "_draw_noise",
+                            lambda keyer, start, stop, rn: np.ones((stop - start, rn)))
         code = cli.main(["hist", "--beta", "0", "--n", "5", "--replicates", "2"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
@@ -162,9 +173,7 @@ class TestExitCodes:
     def test_degenerate_hist_names_first_failing_stream(self, failing, monkeypatch, capsys):
         # All 9 replicates in one block: the block reports its first constant row.
         monkeypatch.setattr(sampler, "CHUNK_BYTES", 9 * 16 * 5)
-        draw = sampler.draw_epsilon
-        monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: (
-            np.ones(rn) if stream.stream_index in failing else draw(stream, rn)))
+        monkeypatch.setattr(sampler, "_draw_noise", constant_rows(sampler._draw_noise, failing))
         code = cli.main(["hist", "--beta", "0", "--n", "5", "--replicates", "9"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
@@ -319,8 +328,8 @@ class TestHist:
         # Peak memory holds one block of replicates, not two: at hist-wide's
         # size (rn = 200001) a block is one replicate of about 8 MB.
         monkeypatch.setattr(sampler, "CHUNK_BYTES", 1)  # one replicate per block
-        engine, draw = cli.replicate_blocks, sampler.draw_epsilon
-        arrays = []
+        engine, draw = cli.replicate_blocks, sampler._draw_noise
+        arrays, drawn = [], []
 
         def tracked_blocks(*args, **kwargs):
             for block in engine(*args, **kwargs):
@@ -329,15 +338,17 @@ class TestHist:
                 yield block
                 del block
 
-        def tracked_draw(stream, rn):
+        def tracked_draw(keyer, start, stop, rn):
             assert all(ref() is None for ref in arrays)
-            return draw(stream, rn)
+            drawn.append((start, stop))
+            return draw(keyer, start, stop, rn)
 
         monkeypatch.setattr(cli, "replicate_blocks", tracked_blocks)
-        monkeypatch.setattr(sampler, "draw_epsilon", tracked_draw)
+        monkeypatch.setattr(sampler, "_draw_noise", tracked_draw)
         argv = ["hist", "--beta", "2.2", "--n", "20", "--replicates", "4", "--output", os.devnull]
         assert cli.main(argv) == 0
         assert len(arrays) == 4 * 4
+        assert drawn == [(0, 1), (1, 2), (2, 3), (3, 4)]  # the hook fired once per block
 
 
 class TestStudy:

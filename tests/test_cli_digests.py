@@ -7,7 +7,9 @@ near zero, lengths from the smallest to the reference size, both output
 formats, both routes and both ends of the seed range, so a change that
 should leave the output alone can show it does.  The digests hold for the
 OpenBLAS thread count they were recorded with (2): the dense route's
-eigenvalues at n = 200 follow that count.
+eigenvalues at n = 200 follow that count.  One more invocation, the
+benchmark's 20000-replicate ``study-many``, is checked against the digest
+``bench/golden.json`` records for it.
 
 Run as a script to re-record the golden file from the code on the path:
 
@@ -21,9 +23,15 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from longmem import cli
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
+# The benchmark's recorded default-seed digests, read only.
+BENCH_GOLDEN = Path(__file__).parents[1] / "bench" / "golden.json"
+STUDY_MANY = "study --beta 2.2 --n 200 --replicates 20000 --format json --seed 5"
 
 COMMANDS = ("generate", "spectrum", "eigen", "hist", "study")
 BETAS = ("0", "0.001", "2.2", "10")
@@ -70,6 +78,17 @@ def test_cli_bytes_match_golden():
     assert list(observed) == list(golden)
     changed = [key for key in golden if observed[key] != golden[key]]
     assert not changed, f"{len(changed)} of {len(golden)} invocations changed, first: {changed[:3]}"
+
+
+def test_study_many_matches_bench_golden():
+    # 20000 replicates at n = 200 run 646 engine blocks; the grid above
+    # reaches two.
+    bench = json.loads(BENCH_GOLDEN.read_text())
+    if bench["numpy"] != np.__version__:
+        pytest.skip(f"digest recorded with numpy {bench['numpy']}, running {np.__version__}")
+    observed = invoke(STUDY_MANY.split())
+    assert observed["exit"] == 0, observed["stderr"]
+    assert observed["stdout_sha256"] == bench["digests"][STUDY_MANY]
 
 
 if __name__ == "__main__":

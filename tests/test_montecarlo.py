@@ -15,6 +15,16 @@ from longmem.sampler import RngStream, generate, replicate_blocks
 from longmem.spectral import build_model
 
 
+def constant_rows(draw, failing):
+    """``draw`` (``sampler._draw_noise``) with the rows of the streams in
+    ``failing`` made constant."""
+    def drawn(keyer, start, stop, rn):
+        epsilon = draw(keyer, start, stop, rn)
+        epsilon[[i - start for i in sorted(failing) if start <= i < stop]] = 1.0
+        return epsilon
+    return drawn
+
+
 def _report_floats(report):
     flat = asdict(report)
     eigen = flat.pop("eigen")
@@ -43,19 +53,52 @@ class TestReplicateSamples:
     """Row ``k`` of ``replicate_blocks`` is ``generate(model, RngStream(seed,
     k))``, on the model's route."""
 
-    @pytest.mark.parametrize("replicates", [1, 5])
+    # Seed 7's ids are the bare replicate counts.
+    @pytest.mark.parametrize("replicates, seed", [
+        pytest.param(count, seed, id=str(count) if seed == 7 else f"{count}-seed{seed}")
+        for seed in (7, 0, 2**64 - 1) for count in (1, 5)
+    ])
     @pytest.mark.parametrize("dense", [False, True])
-    def test_sample_i_is_stream_i(self, replicates, dense, monkeypatch):
+    def test_sample_i_is_stream_i(self, seed, replicates, dense, monkeypatch):
         monkeypatch.setattr(sampler, "CHUNK_BYTES", 16 * 21 * 2)  # two rows per block
         model = build_model(2.2, 20, dense=dense)
-        samples = [block.sample(k) for block in replicate_blocks(model, 7, replicates)
+        samples = [block.sample(k) for block in replicate_blocks(model, seed, replicates)
                    for k in range(len(block.epsilon))]
         assert len(samples) == replicates
         for i, sample in enumerate(samples):
-            expected = generate(model, RngStream(seed=7, stream_index=i))
-            assert (sample.seed, sample.stream_index) == (7, i)
+            expected = generate(model, RngStream(seed=seed, stream_index=i))
+            assert (sample.seed, sample.stream_index) == (seed, i)
             for field in ("epsilon", "series", "standardized"):
                 assert np.array_equal(getattr(sample, field), getattr(expected, field))
+
+
+class TestCosineLaw:
+    """Entry 0 of ``cosvec`` is the inner product of a unit vector with
+    eps/||eps||, uniform on the sphere S^(rn-1), at every beta: so across
+    independent replicates E t**2 = 1/rn and E t**4 = 3/(rn(rn+2)), and the
+    exact variances of t**2 and t**4 follow from E t**8 = 105/(rn(rn+2)(rn+4)(rn+6)).
+    Each check holds at |z| <= 4 over 4000 engine replicates of seed 5."""
+
+    REPLICATES = 4000
+
+    @pytest.mark.parametrize("beta, n", [
+        (0.0, 5),    # z = -1.59 (t**2), -1.84 (t**4)
+        (2.2, 5),    # z = -0.15, 0.07
+        (10.0, 5),   # z = 0.43, 0.95
+        (0.0, 20),   # z = -1.47, -1.70
+        (2.2, 20),   # z = -0.09, 0.39
+        (10.0, 20),  # z = 0.32, 0.36
+    ])
+    def test_entry0_moments(self, beta, n):
+        model = build_model(beta, n)
+        rn, count = model.rn, self.REPLICATES
+        t = np.concatenate([block.cosvec[:, 0] for block in replicate_blocks(model, 5, count)])
+        assert t.size == count
+        m2, m4 = 1 / rn, 3 / (rn * (rn + 2))
+        m8 = 105 / (rn * (rn + 2) * (rn + 4) * (rn + 6))
+        z2 = ((t**2).mean() - m2) / math.sqrt((m4 - m2**2) / count)
+        z4 = ((t**4).mean() - m4) / math.sqrt((m8 - m4**2) / count)
+        assert abs(z2) <= 4 and abs(z4) <= 4, (z2, z4)
 
 
 class TestAggregation:
@@ -113,7 +156,8 @@ class TestValidation:
     def test_constant_noise_names_its_stream(self, monkeypatch):
         # At beta = 0 the operator is the identity, so constant noise gives
         # a constant series, which generate cannot standardize.
-        monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: np.ones(rn))
+        monkeypatch.setattr(sampler, "_draw_noise",
+                            lambda keyer, start, stop, rn: np.ones((stop - start, rn)))
         with pytest.raises(DegenerateSampleError, match="stream_index=0: constant"):
             run_study(0.0, 5, replicates=5, seed=5)
 
@@ -122,9 +166,7 @@ class TestValidation:
         # All 9 replicates in one block: the first constant row in stream
         # order is reported, whichever rows after it also fail.
         monkeypatch.setattr(sampler, "CHUNK_BYTES", 9 * 16 * 5)
-        draw = sampler.draw_epsilon
-        monkeypatch.setattr(sampler, "draw_epsilon", lambda stream, rn: (
-            np.ones(rn) if stream.stream_index in failing else draw(stream, rn)))
+        monkeypatch.setattr(sampler, "_draw_noise", constant_rows(sampler._draw_noise, failing))
         with pytest.raises(DegenerateSampleError, match="^replicate stream_index=5: constant"):
             run_study(0.0, 5, replicates=9, seed=5)
 

@@ -1,11 +1,15 @@
 """Sampling tests: stream reproducibility, convolution routing, and the
 cosine / standardized transforms."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longmem import sampler
@@ -63,6 +67,54 @@ class TestRngStream:
     def test_even_rn_is_unsupported_length(self):
         with pytest.raises(UnsupportedLengthError, match="^rn must be odd"):
             draw_epsilon(RngStream(seed=5), 4)
+
+
+class TestStreamKeyer:
+    """The engine keys a block of streams at once; each must be the stream
+    :meth:`RngStream.generator` builds alone."""
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.one_of(st.integers(0, 2**40), st.integers(2**32 - 6, 2**32)),
+        rows=st.integers(1, 6),
+    )
+    @example(seed=0, start=0, rows=1)
+    @example(seed=2**64 - 1, start=2**32 - 3, rows=6)  # straddles 2**32
+    @example(seed=2**32, start=2**40, rows=2)
+    @settings(max_examples=60, deadline=None)
+    def test_block_states_and_draws_are_numpys(self, seed, start, rows):
+        keyer = sampler._StreamKeyer(seed)
+        states = list(keyer.states(start, start + rows))
+        noise = sampler._draw_noise(keyer, start, start + rows, 7)
+        assert len(states) == rows
+        for k, (state, inc) in enumerate(states):
+            key = np.random.SeedSequence(seed, spawn_key=(start + k,))
+            expected = np.random.PCG64(key).state["state"]
+            assert (state, inc) == (expected["state"], expected["inc"])
+            stream = RngStream(seed=seed, stream_index=start + k)
+            np.testing.assert_array_equal(noise[k], stream.generator().standard_normal(7))
+
+
+class TestRowNorms:
+    # A subprocess per OpenBLAS thread count: the count is read at load time.
+    SCRIPT = textwrap.dedent("""
+        import numpy as np
+        from longmem.sampler import _row_norms
+        rng = np.random.default_rng(3)
+        for rn in (3, 201, 200_001, 999_999):
+            block = rng.standard_normal((3, rn)) * np.array([[1e-3], [1.0], [1e3]])
+            expected = np.array([np.linalg.norm(row) for row in block])
+            assert np.array_equal(_row_norms(block), expected), rn
+        print("equal")
+    """)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_batched_norm_is_the_per_row_norm(self, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+                                text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "equal\n"
 
 
 class TestGenerate:
