@@ -480,6 +480,12 @@ class TestStreamedOutput:
             ("generate", "--beta", "2.2", "--n", "20"),
             ("generate", "--beta", "2.2", "--n", "22"),
             ("spectrum", "--beta", "2.2", "--n", "30"),
+            # integer counts
+            ("hist", "--beta", "3", "--n", "200", "--replicates", "20"),
+            # exponent-notation cells and integer ranks
+            ("eigen", "--beta", "10", "--n", "200"),
+            # a text column
+            ("study", "--beta", "2.2", "--n", "200", "--format", "csv", "--replicates", "5"),
         ],
     )
     def test_chunk_size_does_not_change_bytes(self, args, tmp_path, monkeypatch):

@@ -7,9 +7,13 @@ near zero, lengths from the smallest to the reference size, both output
 formats, both routes and both ends of the seed range, so a change that
 should leave the output alone can show it does.  The digests hold for the
 OpenBLAS thread count they were recorded with (2): the dense route's
-eigenvalues at n = 200 follow that count.  One more invocation, the
-benchmark's 20000-replicate ``study-many``, is checked against the digest
-``bench/golden.json`` records for it.
+eigenvalues at n = 200 follow that count.  Two more invocations, the
+benchmark's 20000-replicate ``study-many`` and its million-row
+``generate-1m`` CSV, are checked against the digests ``bench/golden.json``
+records for them (read only, never written), with the same 2-thread
+caveat: ``generate``'s noise norm is a BLAS dot whose summation split
+follows the OpenBLAS thread count, so at one thread the generate-1m bytes
+differ.
 
 Run as a script to re-record the golden file from the code on the path:
 
@@ -32,6 +36,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 # The benchmark's recorded default-seed digests, read only.
 BENCH_GOLDEN = Path(__file__).parents[1] / "bench" / "golden.json"
 STUDY_MANY = "study --beta 2.2 --n 200 --replicates 20000 --format json --seed 5"
+GENERATE_1M = "generate --beta 2.2 --n 999998 --format csv --seed 5"
 
 COMMANDS = ("generate", "spectrum", "eigen", "hist", "study")
 BETAS = ("0", "0.001", "2.2", "10")
@@ -80,15 +85,17 @@ def test_cli_bytes_match_golden():
     assert not changed, f"{len(changed)} of {len(golden)} invocations changed, first: {changed[:3]}"
 
 
-def test_study_many_matches_bench_golden():
-    # 20000 replicates at n = 200 run 646 engine blocks; the grid above
-    # reaches two.
+@pytest.mark.parametrize("key", [STUDY_MANY, GENERATE_1M], ids=["study-many", "generate-1m"])
+def test_study_many_matches_bench_golden(key):
+    # study-many: 20000 replicates at n = 200 run 646 engine blocks; the grid
+    # above reaches two.  generate-1m: a million CSV rows, 62 chunks of cells
+    # from the numpy renderer.
     bench = json.loads(BENCH_GOLDEN.read_text())
     if bench["numpy"] != np.__version__:
         pytest.skip(f"digest recorded with numpy {bench['numpy']}, running {np.__version__}")
-    observed = invoke(STUDY_MANY.split())
+    observed = invoke(key.split())
     assert observed["exit"] == 0, observed["stderr"]
-    assert observed["stdout_sha256"] == bench["digests"][STUDY_MANY]
+    assert observed["stdout_sha256"] == bench["digests"][key]
 
 
 if __name__ == "__main__":
