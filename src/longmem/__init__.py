@@ -23,7 +23,6 @@ from .estimators import (
     SampleStats,
     accumulate_histogram,
     fit_alpha_from_histogram,
-    merge_histograms,
     sample_stats,
 )
 from .montecarlo import MonteCarloReport, run_study
@@ -68,7 +67,6 @@ __all__ = [
     "eigen_report",
     "fit_alpha_from_histogram",
     "generate",
-    "merge_histograms",
     "run_study",
     "sample_stats",
     "standardize",

@@ -25,9 +25,15 @@ def whole(value, name, minimum=0, limit=None):
 
 
 def real(value, name, low, high):
-    """``value`` as a float in ``[low, high]``, else ValueError; NaN and the
-    infinities fall outside every finite range."""
-    value = float(value)
+    """``value`` as a float in ``[low, high]``: TypeError naming ``name`` if
+    it is not a real number (``'2.2'``, ``None``), ValueError if it is out of
+    range; NaN and the infinities fall outside every finite range."""
+    try:
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError
+        value = float(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got {value!r}") from None
     if not low <= value <= high:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
     return value

@@ -183,10 +183,11 @@ def _cmd_eigen(cfg):
 def _cmd_hist(cfg):
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
     blocks = replicate_blocks(model, cfg.seed, cfg.replicates)
-    # map and chain, unlike a generator expression, keep no reference to the
-    # previous block while the next is drawn, so its arrays are freed first.
-    vectors = itertools.chain.from_iterable(map(operator.attrgetter("standardized"), blocks))
-    hist = accumulate_histogram(vectors, bin_count=cfg.bins)
+    # Each block's rows, raveled into one view, are binned together.  map,
+    # unlike a generator expression, keeps no reference to the previous
+    # block while the next is drawn, so its arrays are freed first.
+    items = map(np.ravel, map(operator.attrgetter("standardized"), blocks))
+    hist = accumulate_histogram(items, bin_count=cfg.bins)
     try:
         fitted = fit_alpha_from_histogram(hist)
     except InsufficientDataError:

@@ -106,26 +106,10 @@ def row_stats(block):
     )
 
 
-def _from_counts(edges, counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    widths = np.diff(edges)
-    if total > 0:
-        densities = counts / (total * widths)
-    else:
-        densities = np.zeros_like(widths)
-    return Histogram(
-        bin_count=int(counts.size),
-        edges=np.asarray(edges, dtype=float),
-        counts=counts,
-        densities=densities,
-        sample_count=total,
-    )
-
-
 def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
-    """Pool standardized vectors into one histogram on [0, 1], binning
-    them one at a time so only one vector is held.
+    """Pool standardized values into one histogram on [0, 1], binning one
+    item at a time so only one item is held; ``hist`` makes each item a
+    whole engine block, raveled.
 
     Values exactly equal to 0.0 or 1.0 are dropped before binning: the
     standardization pins one of each per replicate by construction, and
@@ -135,8 +119,8 @@ def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
     Parameters
     ----------
     samples : iterable of array_like
-        One standardized vector per replicate, with every entry in [0, 1];
-        at least one.  Any other value raises ValueError.
+        One-dimensional items of standardized values, every entry in
+        [0, 1]; at least one.  Any other value raises ValueError.
     bin_count : int
         Number of uniform bins, at least 2.
 
@@ -151,24 +135,21 @@ def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
         values = vector(sample, "samples", bounds=(0.0, 1.0))
         binned, _ = np.histogram(values[(values != 0.0) & (values != 1.0)], bins=edges)
         counts = binned if counts is None else counts + binned
-        # Dropped here, so each vector is freed before the next is drawn.
+        # Dropped here, so each item is freed before the next is drawn.
         del sample, values
     if counts is None:
         raise ValueError("at least one standardized vector is required")
-    return _from_counts(edges, counts)
-
-
-def merge_histograms(first, second):
-    """Merge two histograms with identical edges by adding counts.
-
-    Associative and order-independent, so sharded accumulation commutes
-    with a single pass over all replicates.
-    """
-    if first.bin_count != second.bin_count or not np.array_equal(
-        first.edges, second.edges
-    ):
-        raise ValueError("histograms have different binning and cannot be merged")
-    return _from_counts(first.edges, first.counts + second.counts)
+    counts = counts.astype(np.int64, copy=False)
+    total = int(counts.sum())
+    widths = np.diff(edges)
+    densities = counts / (total * widths) if total > 0 else np.zeros_like(widths)
+    return Histogram(
+        bin_count=bin_count,
+        edges=edges,
+        counts=counts,
+        densities=densities,
+        sample_count=total,
+    )
 
 
 def fit_alpha_from_histogram(histogram):

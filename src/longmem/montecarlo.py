@@ -5,8 +5,9 @@ Replicates are drawn in one place, :func:`longmem.sampler.replicate_blocks`:
 replicate ``i`` comes from stream ``(seed, i)``, in replicate order, a block
 of consecutive replicates at a time, on the model's route.  ``run_study``
 reduces each block straight to its statistics; ``hist`` and the shape
-gallery pool each block's standardized rows.  So a report or a histogram
-is a pure function of ``(beta, n, replicates, seed)``.
+gallery bin each block's standardized rows in one pass and add the counts
+block by block.  So a report or a histogram is a pure function of
+``(beta, n, replicates, seed)``.
 """
 
 from __future__ import annotations

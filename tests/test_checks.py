@@ -1,12 +1,14 @@
 """Input boundary: every public integer parameter takes exactly the values
-``operator.index`` accepts within its range, the command line's flag
-types accept exactly what the library accepts, and every array entry point
+``operator.index`` accepts within its range, ``beta`` takes real numbers
+but not text, the command line's flag types accept exactly what the
+library accepts, and every array entry point
 takes exactly the one-dimensional finite vectors the array rule allows."""
 
 import contextlib
 import io
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +62,14 @@ def test_integer_parameter_boundary(name, call, out_of_range, accepted):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             call(bad)
     call(accepted)
+
+
+def test_beta_takes_real_numbers_not_text():
+    for bad in ("2.2", b"2.2", None):
+        with pytest.raises(TypeError, match="^beta must be a real number"):
+            build_model(bad, 5)
+    for accepted in (np.float64(2.2), np.float32(2.2), np.int64(2), 2, Fraction(11, 5)):
+        assert build_model(accepted, 5).beta == float(accepted)
 
 
 def test_stream_address_stored_as_python_ints():

@@ -350,6 +350,29 @@ class TestHist:
         assert len(arrays) == 4 * 4
         assert drawn == [(0, 1), (1, 2), (2, 3), (3, 4)]  # the hook fired once per block
 
+    def test_pools_one_block_per_item(self, monkeypatch):
+        # rn = 201 gives blocks of 100_000 // (16 * 201) = 31 replicates.
+        accumulate, shapes, pooled = cli.accumulate_histogram, [], []
+
+        def recording(samples, **kwargs):
+            def recorded():
+                for item in samples:
+                    shapes.append(np.shape(item))
+                    yield item
+            pooled.append(accumulate(recorded(), **kwargs))
+            return pooled[-1]
+
+        monkeypatch.setattr(cli, "accumulate_histogram", recording)
+        argv = ["hist", "--beta", "2.2", "--n", "200", "--replicates", "100", "--output", os.devnull]
+        assert cli.main(argv) == 0
+        assert shapes == [(31 * 201,)] * 3 + [(7 * 201,)]
+        blocks = sampler.replicate_blocks(build_model(2.2, 200), cli.DEFAULT_SEED, 100)
+        rows = np.vstack([block.standardized for block in blocks])
+        values = rows[(rows != 0.0) & (rows != 1.0)]
+        counts, _ = np.histogram(values, bins=np.linspace(0.0, 1.0, cli.DEFAULT_BIN_COUNT + 1))
+        np.testing.assert_array_equal(pooled[0].counts, counts)
+        assert pooled[0].sample_count == 100 * 199  # two endpoints dropped per replicate
+
 
 class TestStudy:
     def test_rows_mirror_report(self):

@@ -7,13 +7,13 @@ near zero, lengths from the smallest to the reference size, both output
 formats, both routes and both ends of the seed range, so a change that
 should leave the output alone can show it does.  The digests hold for the
 OpenBLAS thread count they were recorded with (2): the dense route's
-eigenvalues at n = 200 follow that count.  Two more invocations, the
-benchmark's 20000-replicate ``study-many`` and its million-row
-``generate-1m`` CSV, are checked against the digests ``bench/golden.json``
-records for them (read only, never written), with the same 2-thread
-caveat: ``generate``'s noise norm is a BLAS dot whose summation split
-follows the OpenBLAS thread count, so at one thread the generate-1m bytes
-differ.
+eigenvalues at n = 200 follow that count.  Three more invocations, the
+benchmark's 20000-replicate ``study-many``, its 40-replicate ``hist-wide``
+at rn = 200001 and its million-row ``generate-1m`` CSV, are checked
+against the digests ``bench/golden.json`` records for them (read only,
+never written), with the same 2-thread caveat: ``generate``'s noise
+norm is a BLAS dot whose summation split follows the OpenBLAS thread
+count, so at one thread the generate-1m bytes differ.
 
 Run as a script to re-record the golden file from the code on the path:
 
@@ -36,6 +36,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
 # The benchmark's recorded default-seed digests, read only.
 BENCH_GOLDEN = Path(__file__).parents[1] / "bench" / "golden.json"
 STUDY_MANY = "study --beta 2.2 --n 200 --replicates 20000 --format json --seed 5"
+HIST_WIDE = "hist --beta 2.2 --n 200000 --replicates 40 --format csv --seed 5"
 GENERATE_1M = "generate --beta 2.2 --n 999998 --format csv --seed 5"
 
 COMMANDS = ("generate", "spectrum", "eigen", "hist", "study")
@@ -85,11 +86,13 @@ def test_cli_bytes_match_golden():
     assert not changed, f"{len(changed)} of {len(golden)} invocations changed, first: {changed[:3]}"
 
 
-@pytest.mark.parametrize("key", [STUDY_MANY, GENERATE_1M], ids=["study-many", "generate-1m"])
+@pytest.mark.parametrize("key", [STUDY_MANY, HIST_WIDE, GENERATE_1M],
+                         ids=["study-many", "hist-wide", "generate-1m"])
 def test_study_many_matches_bench_golden(key):
     # study-many: 20000 replicates at n = 200 run 646 engine blocks; the grid
-    # above reaches two.  generate-1m: a million CSV rows, 62 chunks of cells
-    # from the numpy renderer.
+    # above reaches two.  hist-wide: 40 one-replicate blocks pooled at the
+    # non-smooth length rn = 200001.  generate-1m: a million CSV rows, 62
+    # chunks of cells from the numpy renderer.
     bench = json.loads(BENCH_GOLDEN.read_text())
     if bench["numpy"] != np.__version__:
         pytest.skip(f"digest recorded with numpy {bench['numpy']}, running {np.__version__}")

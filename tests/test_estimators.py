@@ -1,5 +1,5 @@
 """Estimator tests: named-law oracles for the variance/range^2 ratio and
-histogram accumulation, merging, and the moment fit."""
+histogram accumulation and the moment fit."""
 
 import math
 
@@ -14,7 +14,6 @@ from longmem.estimators import (
     Histogram,
     accumulate_histogram,
     fit_alpha_from_histogram,
-    merge_histograms,
     row_stats,
     sample_stats,
 )
@@ -214,29 +213,6 @@ class TestHistogram:
             accumulate_histogram([np.array([0.5])], bin_count=1)
         with pytest.raises(ValueError):
             accumulate_histogram([], bin_count=10)
-
-    def test_merge_matches_single_pass_and_associates(self):
-        model = build_model(3.0, 40)
-        vectors = [
-            generate(model, RngStream(seed=5, stream_index=i)).standardized
-            for i in range(12)
-        ]
-        whole = accumulate_histogram(vectors, bin_count=20)
-        h1 = accumulate_histogram(vectors[:4], bin_count=20)
-        h2 = accumulate_histogram(vectors[4:9], bin_count=20)
-        h3 = accumulate_histogram(vectors[9:], bin_count=20)
-        left = merge_histograms(merge_histograms(h1, h2), h3)
-        right = merge_histograms(h1, merge_histograms(h2, h3))
-        np.testing.assert_array_equal(left.counts, whole.counts)
-        np.testing.assert_array_equal(right.counts, whole.counts)
-        assert left.sample_count == whole.sample_count
-        np.testing.assert_allclose(left.densities, whole.densities, atol=1e-15)
-
-    def test_merge_rejects_mismatched_edges(self):
-        a = accumulate_histogram([np.array([0.1, 0.9])], bin_count=4)
-        b = accumulate_histogram([np.array([0.1, 0.9])], bin_count=5)
-        with pytest.raises(ValueError):
-            merge_histograms(a, b)
 
     def test_u_shape_at_beta10(self):
         # frozen after measuring across 10 seeded runs: edge bins run
