@@ -8,9 +8,27 @@ dense convolution multiplies by an explicitly built circulant matrix.
 Both transform directions carry the 1/sqrt(n) scale, so the transform is
 unitary: it preserves the 2-norm and inverts exactly by conjugating the
 exponent.
+
+The fast convolution takes one of two routes, fixed once per row by its
+length rn (:func:`transform_length`):
+
+- rn whose prime factors are all at most ``COMPLEX_MAX_PRIME`` (67): a
+  complex ``fft``/``ifft`` pair at length rn, checked for imaginary residue.
+- any other rn: the real ``rfft``/``irfft`` pair zero-padded to L, the next
+  5-smooth length at least 2 rn - 1, so the linear convolution fits and its
+  entries rn .. 2 rn - 2 fold back onto 0 .. rn - 2; checked by the sum
+  identity.  At rn = 200001 = 3 x 163 x 409 this skips pocketfft's
+  generic-radix passes, and at rn = 1000001 = 101 x 9901 Bluestein's.
+
+The padded route is faster at every length, smooth ones included, but it
+rounds differently.  Every length whose output bytes are pinned (3, 5, 21,
+41, 201 = 3 x 67, and 999999, largest factor 37) is 67-smooth and stays on
+the complex route, bit for bit, until those pins are recorded again.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +41,16 @@ DENSE_GUARD = 4096
 # Relative ceiling for the imaginary residue left by the fast convolution
 # of real inputs; anything above this means a bookkeeping bug.
 IMAG_RESIDUE_TOL = 1e-9
+
+# Largest prime factor of rn that keeps a convolution on the complex route.
+COMPLEX_MAX_PRIME = 67
+_COMPLEX_PRIMES = tuple(p for p in range(2, COMPLEX_MAX_PRIME + 1)
+                        if all(p % q for q in range(2, p)))
+
+# Relative ceiling, against (sum |row|)(sum |v|), for the gap between
+# sum(w) and sum(row) sum(v) on the padded route; rounding leaves about
+# 1e-16 of that scale, a dropped fold or a wrong 1/L scale a large share.
+SUM_IDENTITY_TOL = 1e-12
 
 
 def _guard_dense(n, what):
@@ -111,7 +139,7 @@ def circular_convolve(row, v, dense=False):
     UnsupportedLengthError
         If the common length is even.
     InternalConsistencyError
-        If the fast path leaves a non-negligible imaginary residue.
+        If the fast path fails its self-check (see :func:`convolve_rows`).
     """
     row = vector(row, "row")
     v = vector(v, "v")
@@ -121,22 +149,71 @@ def circular_convolve(row, v, dense=False):
     return convolve_rows(convolution_operator(row, dense), v[None])[0]
 
 
+def transform_length(rn):
+    """The FFT length of the fast convolution at length ``rn``: ``rn`` itself
+    when its prime factors are all at most ``COMPLEX_MAX_PRIME`` (the complex
+    route), else the smallest ``2**a 3**b 5**c`` at least ``2 rn - 1`` (the
+    padded route)."""
+    left = rn
+    for p in _COMPLEX_PRIMES:
+        while left % p == 0:
+            left //= p
+    if left == 1:
+        return rn
+    # Each 3**b 5**c times the least power of two that lifts it to the target;
+    # 3**b and 5**c below 2**bit_length cover every candidate under 2 target.
+    target = 2 * rn - 1
+    bits = target.bit_length()
+    return min(m << ((target - 1) // m).bit_length()
+               for m in (3**b * 5**c for b in range(bits) for c in range(bits)))
+
+
+@dataclass(frozen=True)
+class PaddedSpectrum:
+    """The padded route's operator: ``rfft`` of the row zero-padded to
+    ``length`` (:func:`transform_length`), and the row's sum and absolute sum
+    for the sum-identity check."""
+
+    spectrum: np.ndarray
+    length: int
+    row_sum: float
+    row_abs_sum: float
+
+
 def convolution_operator(row, dense=False):
-    """What :func:`convolve_rows` multiplies by to convolve with ``row``: its
-    FFT, or with ``dense`` its circulant matrix.  Computed once, it serves
-    every block convolved with the same row."""
-    return circulant_matrix(row) if dense else np.fft.fft(row)
+    """What :func:`convolve_rows` multiplies by to convolve with ``row``:
+    with ``dense`` its circulant matrix, else its FFT at length rn or a
+    :class:`PaddedSpectrum`, as :func:`transform_length` routes rn.
+    Computed once, it serves every block convolved with the same row."""
+    if dense:
+        return circulant_matrix(row)
+    length = transform_length(row.size)
+    if length == row.size:
+        return np.fft.fft(row)
+    return PaddedSpectrum(np.fft.rfft(row, length), length, float(row.sum()),
+                          float(np.abs(row).sum()))
 
 
 def convolve_rows(operator, block):
     """Circular convolution of each row of a ``(rows, n)`` block with the row
     behind ``operator`` (see :func:`convolution_operator`).
 
-    The FFT route transforms the block along ``axis=1`` and checks each
-    row's imaginary residue; the first row that fails raises
-    ``InternalConsistencyError``.  The dense route multiplies one row at a
-    time, ``C @ v``, as the oracle always has.  Inputs are not validated.
+    Each fast route checks every row against that row's own scale, and the
+    first row that fails raises ``InternalConsistencyError`` naming it:
+
+    - the complex route transforms the block along ``axis=1`` and checks the
+      imaginary residue, ``max |Im w| <= IMAG_RESIDUE_TOL * max |Re w|``;
+    - the padded route's ``irfft`` is real, so it checks the sum identity
+      instead, ``|sum(w) - sum(row) sum(v)| <= SUM_IDENTITY_TOL *
+      sum(|row|) sum(|v|)``.  Rounding leaves a gap of at most about 5e-16
+      of that scale (spikes, alternating signs, wide dynamic range and the
+      model's rows, up to rn = 200001).
+
+    The dense route multiplies one row at a time, ``C @ v``, as the oracle
+    always has.  Inputs are not validated.
     """
+    if isinstance(operator, PaddedSpectrum):
+        return _convolve_padded(operator, block)
     if operator.ndim == 2:
         return np.array([operator @ v for v in block])
     w = np.fft.ifft(operator * np.fft.fft(block, axis=1), axis=1)
@@ -148,6 +225,31 @@ def convolve_rows(operator, block):
         k = failed[0]
         raise InternalConsistencyError(
             f"fast convolution of real inputs left imaginary residue {residue[k]:.3e} "
-            f"(relative to output scale {scale[k]:.3e})"
+            f"in row {k} (relative to output scale {scale[k]:.3e})"
         )
     return w.real
+
+
+def _convolve_padded(operator, block):
+    rn, length = block.shape[1], operator.length
+    # The sums come first, so their temporaries are freed before the
+    # transform buffers exist.
+    expected = operator.row_sum * block.sum(axis=1)
+    scale = operator.row_abs_sum * np.abs(block).sum(axis=1)
+    spectrum = np.fft.rfft(block, length, axis=1)
+    np.multiply(spectrum, operator.spectrum, out=spectrum)
+    linear = np.fft.irfft(spectrum, length, axis=1)
+    del spectrum
+    # The linear convolution's entries rn .. 2 rn - 2 wrap onto 0 .. rn - 2.
+    w = linear[:, :rn].copy()
+    w[:, :rn - 1] += linear[:, rn:2 * rn - 1]
+    sums = w.sum(axis=1)
+    gap = np.abs(sums - expected)
+    failed = np.flatnonzero(gap > SUM_IDENTITY_TOL * scale)
+    if failed.size:
+        k = failed[0]
+        raise InternalConsistencyError(
+            f"padded convolution broke the sum identity in row {k}: sum {sums[k]:.17g}, "
+            f"expected {expected[k]:.17g} (gap {gap[k]:.3e} against scale {scale[k]:.3e})"
+        )
+    return w

@@ -39,8 +39,9 @@ COSINE_TOL = 1e-12
 
 SEED_LIMIT = 2**64
 
-# Bytes of one block's complex128 (rows, rn) transform: a block holds as many
-# replicates as fit, and at least one (so one at rn = 200001).
+# Bytes of one block's complex128 (rows, rn) array, the complex route's
+# transform: a block holds as many replicates as fit, and at least one (so
+# one at rn = 200001).
 CHUNK_BYTES = 100_000
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
@@ -169,10 +170,11 @@ def replicate_blocks(model, seed, replicates):
     rows, the last one possibly shorter; replicate ``i`` equals
     ``generate(model, RngStream(seed, i))`` bit for bit.
 
-    The operator row's FFT (or, on a dense model, its circulant matrix) and
-    its norm are computed once per call, after ``seed`` and ``replicates``
-    are checked.  A block holds no reference to the one before, so once its
-    consumer drops it only one block is alive.
+    The convolution operator (:func:`~longmem.dft.convolution_operator`,
+    which fixes the route) and the row's norm are computed once per call,
+    after ``seed`` and ``replicates`` are checked.  A block holds no
+    reference to the one before, so once its consumer drops it only one
+    block is alive.
 
     Raises
     ------

@@ -1,15 +1,20 @@
 """Transform and convolution tests: fast paths against dense oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longmem.dft import (
+    COMPLEX_MAX_PRIME,
+    PaddedSpectrum,
     circulant_matrix,
     circular_convolve,
     convolution_operator,
     convolve_rows,
+    transform_length,
     unitary_dft,
 )
 from longmem.errors import InternalConsistencyError, UnsupportedLengthError
@@ -119,7 +124,8 @@ class TestCircularConvolve:
         out = circular_convolve([0.0, 1.0, 0.0], [1.0, 2.0, 3.0])
         np.testing.assert_allclose(out, [3.0, 1.0, 2.0], atol=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 15, 51, 101])
+    # 71, 101, 213 = 3 x 71 and 1019 take the padded route.
+    @pytest.mark.parametrize("n", [3, 15, 51, 71, 101, 213, 1019])
     def test_fast_matches_dense_multiply(self, n):
         rng = np.random.default_rng(99 + n)
         row = rng.normal(size=n)
@@ -178,9 +184,84 @@ class TestCircularConvolve:
         clean = convolve_rows(convolution_operator(row), block.real)
         np.testing.assert_array_equal(clean[1], circular_convolve(row, block[1].real))
         block[2] += 1e-6j * rng.normal(size=7)
-        with pytest.raises(InternalConsistencyError, match="imaginary residue"):
+        with pytest.raises(InternalConsistencyError, match="imaginary residue .* in row 2 "):
             convolve_rows(convolution_operator(row), block)
 
     def test_output_is_real_float(self):
         out = circular_convolve([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
         assert out.dtype == np.float64
+
+
+def largest_prime_factor(n):
+    factor, p = 1, 2
+    while p * p <= n:
+        while n % p == 0:
+            n, factor = n // p, p
+        p += 1
+    return max(factor, n)
+
+
+class TestRoute:
+    # Lengths whose output bytes are pinned: the goldens and the digest grid
+    # (3, 5, 21, 41, 201) and the benchmark digests (201, 999999).
+    @pytest.mark.parametrize("rn", [3, 5, 21, 41, 201, 999999])
+    def test_pinned_lengths_take_the_complex_route(self, rn):
+        assert transform_length(rn) == rn
+        assert not isinstance(convolution_operator(np.ones(rn)), PaddedSpectrum)
+
+    @pytest.mark.parametrize("rn, length", [(200001, 405000), (1000001, 2025000)])
+    def test_large_prime_factors_take_the_padded_route(self, rn, length):
+        assert transform_length(rn) == length
+        operator = convolution_operator(np.ones(rn))
+        assert isinstance(operator, PaddedSpectrum)
+        assert (operator.length, operator.spectrum.size) == (length, length // 2 + 1)
+
+    def test_padded_length_is_the_next_5_smooth(self):
+        for rn in range(3, 4001, 2):
+            if largest_prime_factor(rn) <= COMPLEX_MAX_PRIME:
+                assert transform_length(rn) == rn
+            else:
+                length = next(m for m in itertools.count(2 * rn - 1)
+                              if largest_prime_factor(m) <= 5)
+                assert transform_length(rn) == length, rn
+
+
+class TestSumIdentityCheck:
+    """The padded route's ``irfft`` is real, so it checks each row's sum
+    identity instead of an imaginary residue; these faults break it in rows
+    2 and 3 of a block whose row 0 is 1e6 times larger."""
+
+    RN = 71
+
+    def block(self):
+        rng = np.random.default_rng(4)
+        row = rng.normal(size=self.RN)
+        block = rng.normal(size=(4, self.RN))
+        block[0] *= 1e6
+        return row, block
+
+    def test_clean_rows_equal_single_row_convolutions(self):
+        row, block = self.block()
+        operator = convolution_operator(row)
+        assert isinstance(operator, PaddedSpectrum)
+        clean = convolve_rows(operator, block)
+        for k in range(len(block)):
+            np.testing.assert_array_equal(clean[k], circular_convolve(row, block[k]))
+
+    @pytest.mark.parametrize("fault", ["dropped fold", "doubled 1/L scale"])
+    def test_fault_names_first_failing_row(self, fault, monkeypatch):
+        row, block = self.block()
+        operator = convolution_operator(row)
+        irfft = np.fft.irfft
+
+        def faulty(spectrum, n, axis):
+            linear = irfft(spectrum, n, axis=axis)
+            if fault == "dropped fold":
+                linear[2:, self.RN:] = 0.0
+            else:
+                linear[2:] /= n
+            return linear
+
+        monkeypatch.setattr(np.fft, "irfft", faulty)
+        with pytest.raises(InternalConsistencyError, match="sum identity in row 2:"):
+            convolve_rows(operator, block)

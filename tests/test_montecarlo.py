@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import longmem.sampler as sampler
+from longmem.dft import PaddedSpectrum, convolution_operator
 from longmem.errors import DegenerateSampleError
 from longmem.estimators import sample_stats
 from longmem.montecarlo import run_study
@@ -71,6 +72,20 @@ class TestReplicateSamples:
             for field in ("epsilon", "series", "standardized"):
                 assert np.array_equal(getattr(sample, field), getattr(expected, field))
 
+    def test_padded_route_row_is_generate(self):
+        # rn = 1019 is prime: the padded route, 6 rows per block at the
+        # default budget, so 8 replicates span two blocks.
+        model = build_model(2.2, 1018)
+        assert isinstance(convolution_operator(model.first_row), PaddedSpectrum)
+        blocks = list(replicate_blocks(model, 7, 8))
+        assert [len(block.epsilon) for block in blocks] == [6, 2]
+        for block in blocks:
+            for k in range(len(block.epsilon)):
+                expected = generate(model, RngStream(seed=7, stream_index=block.start + k))
+                for field in ("epsilon", "series", "cosvec", "standardized"):
+                    assert np.array_equal(getattr(block.sample(k), field),
+                                          getattr(expected, field))
+
 
 class TestCosineLaw:
     """Entry 0 of ``cosvec`` is the inner product of a unit vector with
@@ -129,6 +144,8 @@ class TestVarianceLaw:
         (3.0, 200),    # z = -0.36, -0.78
         (10.0, 40),    # z = 1.16, -0.94
         (10.0, 200),   # z = -0.19, -1.12
+        (2.2, 1018),   # z = -1.30, -0.22 (rn = 1019, the padded route)
+        (10.0, 1018),  # z = -1.17, 0.19
     ]
 
     @staticmethod
@@ -166,11 +183,12 @@ class TestParseval:
     """Per replicate, ||C eps||**2 = (1/rn) sum_k lam_k**2 |fft(eps)_k|**2, with
     eps drawn afresh from stream (seed, i) and lam_k the law's eigenvalue of
     FFT bin k (placed on the bins by the rank of the model's own spectrum).
-    It holds to rounding: the worst relative gap over the grid and 40
-    replicates of seed 11 is 2.9e-15."""
+    It holds to rounding: the worst relative gap over 40 replicates of seed 11
+    is 2.9e-15 on the complex route (n <= 200) and 1.0e-14 on the padded
+    route (n = 1018, rn = 1019 prime; at beta = 10)."""
 
     @pytest.mark.parametrize("beta", [0.0, 0.001, 2.2, 10.0])
-    @pytest.mark.parametrize("n", [5, 40, 200])
+    @pytest.mark.parametrize("n", [5, 40, 200, 1018])
     def test_each_replicate(self, beta, n):
         model = build_model(beta, n)
         rn = model.rn
