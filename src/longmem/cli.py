@@ -29,7 +29,7 @@ from ._checks import real, whole
 from ._csv import rows_text
 from .errors import InsufficientDataError, LongmemError
 from .estimators import DEFAULT_BIN_COUNT, MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import MIN_WORKERS, run_study
+from .montecarlo import run_study
 from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate, replicate_blocks
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_grid, build_model, eigen_report
 
@@ -55,7 +55,6 @@ class RunConfig:
     bins: int = DEFAULT_BIN_COUNT
     format: str = "csv"
     output: str = "-"
-    workers: int = 1
     dense_oracle: bool = False
 
 
@@ -77,7 +76,6 @@ n_flag = flag_type(int, whole, "n", minimum=N_MIN)
 seed_flag = flag_type(int, whole, "seed", limit=SEED_LIMIT)
 replicates_flag = flag_type(int, whole, "replicates")
 bins_flag = flag_type(int, whole, "bins", minimum=MIN_BIN_COUNT)
-workers_flag = flag_type(int, whole, "workers", minimum=MIN_WORKERS)
 
 
 def build_parser():
@@ -116,8 +114,6 @@ def build_parser():
                            help="replicated study: eigenvalue estimates vs measured statistics")
     study.add_argument("--replicates", type=replicates_flag, default=DEFAULT_REPLICATES,
                        help="replicate count (default %(default)s)")
-    study.add_argument("--workers", type=workers_flag, default=1,
-                       help="worker count, recorded only (default %(default)s); replicates run serially")
     return parser
 
 
@@ -136,7 +132,8 @@ def _metadata(cfg):
         "seed": cfg.seed,
         "replicates": cfg.replicates,
         "bins": cfg.bins,
-        "workers": cfg.workers,
+        # Replicates run on one worker; the key stays while bench/golden.json pins it.
+        "workers": 1,
         "dense_oracle": cfg.dense_oracle,
         "generator": GENERATOR,
         "format": cfg.format,
@@ -202,10 +199,7 @@ def _cmd_hist(cfg):
 
 
 def _cmd_study(cfg):
-    report = run_study(
-        cfg.beta, cfg.n, cfg.replicates, cfg.seed,
-        workers=cfg.workers, dense=cfg.dense_oracle,
-    )
+    report = run_study(cfg.beta, cfg.n, cfg.replicates, cfg.seed, dense=cfg.dense_oracle)
     eigen = report.eigen
     columns = {
         "beta": [report.beta] * 3,

@@ -44,8 +44,6 @@ IMAG_RESIDUE_TOL = 1e-9
 
 # Largest prime factor of rn that keeps a convolution on the complex route.
 COMPLEX_MAX_PRIME = 67
-_COMPLEX_PRIMES = tuple(p for p in range(2, COMPLEX_MAX_PRIME + 1)
-                        if all(p % q for q in range(2, p)))
 
 # Relative ceiling, against (sum |row|)(sum |v|), for the gap between
 # sum(w) and sum(row) sum(v) on the padded route; rounding leaves about
@@ -154,8 +152,10 @@ def transform_length(rn):
     when its prime factors are all at most ``COMPLEX_MAX_PRIME`` (the complex
     route), else the smallest ``2**a 3**b 5**c`` at least ``2 rn - 1`` (the
     padded route)."""
+    # Dividing out every integer in turn leaves 1 exactly when no prime
+    # factor exceeds the bound; the composites find nothing left to divide.
     left = rn
-    for p in _COMPLEX_PRIMES:
+    for p in range(2, COMPLEX_MAX_PRIME + 1):
         while left % p == 0:
             left //= p
     if left == 1:

@@ -61,7 +61,9 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         Study seed; replicate ``i`` uses stream ``(seed, i)``.
     workers : int
         Worker count, at least 1; validated only, since replicates run
-        serially (a thread pool was slower than one thread).
+        serially (a thread pool was slower than one thread).  Its one
+        caller is ``bench/probe.py``, and both go with the benchmark's
+        next revision.
     dense : bool
         Build the model on the dense route, which its transforms, convolutions
         and ``eigen`` summary follow; ``eigen`` is the ``eigen`` command's
@@ -74,7 +76,7 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     Raises
     ------
     DegenerateSampleError
-        If any replicate series is constant; the message names the
+        If any replicate's noise is constant; the message names the
         offending stream index and the study aborts.
     """
     replicates = whole(replicates, "replicates", MIN_REPLICATES)

@@ -130,7 +130,7 @@ def generate(model, stream):
     Raises
     ------
     DegenerateSampleError
-        If the series is constant; the message names the stream index.
+        If the noise is constant; the message names the stream index.
     """
     epsilon = draw_epsilon(stream, model.rn)
     series = circular_convolve(model.first_row, epsilon, dense=model.dense)
@@ -179,8 +179,8 @@ def replicate_blocks(model, seed, replicates):
     Raises
     ------
     DegenerateSampleError
-        At the first constant replicate in stream order, naming its stream
-        index.
+        At the first replicate in stream order whose noise is constant,
+        naming its stream index.
     """
     seed = whole(seed, "seed", limit=SEED_LIMIT)
     replicates = whole(replicates, "replicates")
@@ -278,7 +278,21 @@ def _fold(words):
 def _series_block(epsilon, series, row_norm, seed, start):
     """The block of replicates ``start ..`` from their noise and series: each
     row divided by its product of 2-norms, checked to lie in [-1, 1], and
-    standardized."""
+    standardized.
+
+    The first row whose noise is constant raises ``DegenerateSampleError``,
+    naming its stream.  The operator is a positive-definite circulant with
+    the ones vector as an eigenvector, so the series is constant exactly
+    when the noise is.  The noise is tested because the test is exact on
+    every route: the padded and dense routes leave a convolved constant a
+    rounding-sized range.
+    """
+    constant = np.flatnonzero(epsilon.min(axis=1) == epsilon.max(axis=1))
+    if constant.size:
+        raise DegenerateSampleError(
+            f"replicate stream_index={start + constant[0]}: constant noise gives a constant "
+            "series, which has no range to standardize"
+        )
     norms = row_norm * _row_norms(epsilon)
     cosvec = series / norms[:, None]
     worst = np.abs(cosvec).max(axis=1)
@@ -291,7 +305,7 @@ def _series_block(epsilon, series, row_norm, seed, start):
         epsilon=epsilon,
         series=series,
         cosvec=cosvec,
-        standardized=_standardize_rows(cosvec, start),
+        standardized=_standardize_rows(cosvec),
         seed=seed,
         start=start,
     )
@@ -320,14 +334,11 @@ def standardize(values):
     return _standardize_rows(vector(values, "values")[None])[0]
 
 
-def _standardize_rows(block, start=None):
-    """:func:`standardize` of each row of a 2-D block.  The first constant row
-    raises ``DegenerateSampleError``, naming stream ``start + row`` when
-    ``start`` is given."""
+def _standardize_rows(block):
+    """:func:`standardize` of each row of a 2-D block; a constant row raises
+    ``DegenerateSampleError``."""
     lo = block.min(axis=1, keepdims=True)
     hi = block.max(axis=1, keepdims=True)
-    constant = np.flatnonzero(hi == lo)
-    if constant.size:
-        where = "" if start is None else f"replicate stream_index={start + constant[0]}: "
-        raise DegenerateSampleError(f"{where}constant vector has no range to standardize")
+    if np.any(hi == lo):
+        raise DegenerateSampleError("constant vector has no range to standardize")
     return (block - lo) / (hi - lo)

@@ -45,7 +45,8 @@ FLAGS = {
     # No file is written: stdout, or a directory that does not exist.
     "--output": values(["-"], ["/nonexistent-longmem-dir/out.csv"], ["/nonexistent-longmem-dir/"]),
 }
-OWN_FLAGS = {"hist": ("--replicates", "--bins"), "study": ("--replicates", "--workers")}
+# --workers stays in FLAGS, drawn as a flag no command takes.
+OWN_FLAGS = {"hist": ("--replicates", "--bins"), "study": ("--replicates",)}
 COMMON = ("--seed", "--format", "--output")
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longmem import dft
 from longmem.dft import (
     COMPLEX_MAX_PRIME,
     PaddedSpectrum,
@@ -215,6 +216,12 @@ class TestRoute:
         operator = convolution_operator(np.ones(rn))
         assert isinstance(operator, PaddedSpectrum)
         assert (operator.length, operator.spectrum.size) == (length, length // 2 + 1)
+
+    def test_route_reads_the_bound_at_call_time(self, monkeypatch):
+        # 201 = 3 x 67: with the bound at 1 no length is smooth enough, so
+        # 201 pads to 405 = 3**4 x 5, the next 5-smooth length >= 401.
+        monkeypatch.setattr(dft, "COMPLEX_MAX_PRIME", 1)
+        assert transform_length(201) == 405
 
     def test_padded_length_is_the_next_5_smooth(self):
         for rn in range(3, 4001, 2):

@@ -201,6 +201,47 @@ class TestParseval:
                 assert float(series @ series) == pytest.approx(energy, rel=1e-11)
 
 
+class TestSpectralTrend:
+    """The operator's eigenvectors are the Fourier modes, so per FFT bin k,
+    fft(C eps)_k = lam_k fft(eps)_k and |fft(C eps)_k|**2 / (rn lam_k**2) is a
+    chi-square(1) at k = 0 and a chi-square(2)/2 elsewhere: mean 1, standard
+    deviation sqrt(2) at k = 0 and 1 elsewhere.  lam_k is the density at
+    |f| rank: bin 0 takes the smallest |f|, and bins k and rn - k the k-th
+    pair above it, so a model that puts its spectrum on the wrong bins
+    fails here even when its eigenvalues, sorted, are right.
+
+    Each bin's mean over 4000 replicates of seed 5 holds at |z| <= 4.
+    Bonferroni split: bins k and rn - k of a real series are conjugate, so
+    the three cases test 11 + 21 + 101 = 133 distinct bins; at a two-sided
+    normal level of 6.3e-5 per bin the family-wise level is 0.84%."""
+
+    REPLICATES = 4000
+
+    @staticmethod
+    def bin_eigenvalues(model):
+        """The density on the FFT bins by |f| rank, from the grid alone."""
+        by_rank = model.density[np.argsort(np.abs(model.grid.frequencies), kind="stable")]
+        pairs = by_rank[1::2]
+        return np.concatenate([by_rank[:1], pairs, pairs[::-1]])
+
+    @pytest.mark.parametrize("beta, n", [
+        (2.2, 20),  # max |z| = 1.25
+        (10, 40),   # max |z| = 1.44
+        (3, 200),   # max |z| = 2.64
+    ])
+    def test_mean_power_per_bin(self, beta, n):
+        model = build_model(beta, n)
+        rn, count = model.rn, self.REPLICATES
+        power = np.zeros(rn)
+        for block in replicate_blocks(model, 5, count):
+            power += (np.abs(np.fft.fft(block.series, axis=1)) ** 2).sum(axis=0)
+        ratio = power / count / (rn * self.bin_eigenvalues(model) ** 2)
+        sd = np.full(rn, math.sqrt(1 / count))
+        sd[0] = math.sqrt(2 / count)
+        z = (ratio - 1) / sd
+        assert np.abs(z).max() <= 4, (int(np.abs(z).argmax()), float(np.abs(z).max()))
+
+
 class TestAggregation:
     def test_means_and_cvs_match_direct_replication(self):
         report = run_study(3.0, 40, replicates=30, seed=9)
@@ -253,20 +294,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_study(2.2, 40, replicates=5, seed=-1)
 
+    # beta, n, dense: the complex route (rn = 5), the padded route (rn = 1019
+    # is prime) and the dense route (rn = 41).  The last two convolve a
+    # constant into a series with a rounding-sized range.
+    ROUTES = [(0.0, 5, False), (0.0, 1018, False), (2.2, 40, True)]
+
     def test_constant_noise_names_its_stream(self, monkeypatch):
-        # At beta = 0 the operator is the identity, so constant noise gives
-        # a constant series, which generate cannot standardize.
+        # Constant noise gives a constant series, which cannot be standardized.
         monkeypatch.setattr(sampler, "_draw_noise",
                             lambda keyer, start, stop, rn: np.ones((stop - start, rn)))
-        with pytest.raises(DegenerateSampleError, match="stream_index=0: constant"):
-            run_study(0.0, 5, replicates=5, seed=5)
+        for beta, n, dense in self.ROUTES:
+            with pytest.raises(DegenerateSampleError, match="stream_index=0: constant"):
+                run_study(beta, n, replicates=5, seed=5, dense=dense)
 
     @pytest.mark.parametrize("failing", [{5}, {5, 7}])
     def test_first_constant_stream_in_a_block_is_named(self, failing, monkeypatch):
         # All 9 replicates in one block: the first constant row in stream
         # order is reported, whichever rows after it also fail.
-        monkeypatch.setattr(sampler, "CHUNK_BYTES", 9 * 16 * 5)
         monkeypatch.setattr(sampler, "_draw_noise", constant_rows(sampler._draw_noise, failing))
-        with pytest.raises(DegenerateSampleError, match="^replicate stream_index=5: constant"):
-            run_study(0.0, 5, replicates=9, seed=5)
+        for beta, n, dense in self.ROUTES:
+            monkeypatch.setattr(sampler, "CHUNK_BYTES", 9 * 16 * build_grid(n).rn)
+            with pytest.raises(DegenerateSampleError, match="^replicate stream_index=5: constant"):
+                run_study(beta, n, replicates=9, seed=5, dense=dense)
 
