@@ -33,9 +33,7 @@ from .spectral import (
     SpectralModel,
     build_grid,
     build_model,
-    dense_operator,
     eigen_report,
-    transform_pair_holds,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "build_model",
     "circulant_matrix",
     "circular_convolve",
-    "dense_operator",
     "draw_epsilon",
     "eigen_report",
     "fit_alpha_from_histogram",
@@ -70,7 +67,6 @@ __all__ = [
     "run_study",
     "sample_stats",
     "standardize",
-    "transform_pair_holds",
     "unitary_dft",
     "__version__",
 ]

@@ -31,7 +31,7 @@ from .errors import InsufficientDataError, LongmemError
 from .estimators import DEFAULT_BIN_COUNT, MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
 from .montecarlo import run_study
 from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate, replicate_blocks
-from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_grid, build_model, eigen_report
+from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_model, eigen_report, realized_length
 
 PROG = "longmem"
 
@@ -128,7 +128,7 @@ def _metadata(cfg):
         "command": cfg.command,
         "beta": cfg.beta,
         "n": cfg.n,
-        "rn": build_grid(cfg.n).rn,
+        "rn": realized_length(cfg.n),
         "seed": cfg.seed,
         "replicates": cfg.replicates,
         "bins": cfg.bins,

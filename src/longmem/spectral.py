@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import real, whole
-# DENSE_GUARD lives with the dense routes it guards; re-exported here.
-from .dft import DENSE_GUARD, circulant_matrix, unitary_dft  # noqa: F401
+from .dft import circulant_matrix, unitary_dft
 from .errors import ModelConstructionError
 
 BETA_MIN = 0.0
@@ -40,7 +39,7 @@ class FrequencyGrid:
     """Odd-length frequency vector covering [-1/2, 1/2] without zero.
 
     n : requested sample count (any integer >= 2)
-    rn : realized odd length (n when n is odd, n + 1 when even)
+    rn : realized odd length, :func:`realized_length` of n
     frequencies : cycles per sample; negative half, then 1/(2n), then the
         mirrored positive half
     """
@@ -98,6 +97,12 @@ class EigenReport:
     slope_fit: float
 
 
+def realized_length(n):
+    """Odd length of the grid for ``n`` samples: n when n is odd, n + 1 when
+    even."""
+    return 2 * (n // 2) + 1
+
+
 def build_grid(n):
     """Build the odd-length Nyquist-range frequency grid for ``n`` samples.
 
@@ -119,7 +124,7 @@ def build_grid(n):
     i = np.arange(m)
     negative = (2 * i - n) / (2 * n)
     frequencies = np.concatenate([negative, [1.0 / (2 * n)], -negative[::-1]])
-    return FrequencyGrid(n=n, rn=2 * m + 1, frequencies=_frozen(frequencies))
+    return FrequencyGrid(n=n, rn=realized_length(n), frequencies=_frozen(frequencies))
 
 
 def build_model(beta, n, dense=False):
@@ -213,7 +218,7 @@ def eigen_report(model):
     EigenReport
     """
     if model.dense:
-        lam = np.sort(np.linalg.eigvalsh(dense_operator(model)))[::-1]
+        lam = np.sort(np.linalg.eigvalsh(circulant_matrix(model.first_row)))[::-1]
     else:
         lam = model.eigenvalues
     rn = model.rn
@@ -242,31 +247,3 @@ def eigen_report(model):
         slope_fit=slope_fit,
     )
 
-
-def dense_operator(model):
-    """Materialize the full rn x rn symmetric circulant operator.
-
-    Debug/oracle path; circulant_matrix refuses orders above ``DENSE_GUARD``.
-    """
-    return circulant_matrix(model.first_row)
-
-
-def transform_pair_holds(model, tol=1e-8):
-    """Whether the forward transform of the scaled row reproduces the density.
-
-    Construction takes a modulus, which in principle could fold signs and
-    break the round trip; for this density family it does not, anywhere in
-    the supported beta range.  The check compares sorted values so grid
-    ordering plays no role.
-    """
-    recovered = np.abs(
-        unitary_dft(model.first_row * math.sqrt(model.rn), "forward")
-    )
-    return bool(
-        np.allclose(
-            np.sort(recovered),
-            np.sort(model.density),
-            rtol=tol,
-            atol=tol * float(model.density.max()),
-        )
-    )

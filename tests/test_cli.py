@@ -10,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from longmem import cli, sampler
 from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def constant_rows(draw, failing):
@@ -29,18 +29,12 @@ def constant_rows(draw, failing):
     return drawn
 
 
-def child_env(env_extra=None):
-    """This environment with the checkout's ``src`` first on PYTHONPATH."""
-    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **(env_extra or {}))
-
-
 def run_cli(*args, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "longmem", *args],
         capture_output=True,
         text=True,
-        env=child_env(env_extra),
+        env=child_env(**(env_extra or {})),
     )
 
 

@@ -29,13 +29,13 @@ import hashlib
 import io
 import itertools
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from longmem import cli
 
@@ -95,12 +95,10 @@ def invoke(argv):
 def invoke_pinned(keys):
     """:func:`invoke` of each key (an argv joined by spaces), by key, all in
     one child process at ``THREADS`` OpenBLAS threads, importing ``longmem``
-    from where this process did."""
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=THREADS,
-               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    from the checkout's ``src``."""
     result = subprocess.run([sys.executable, __file__, "--invoke"], input=json.dumps(keys),
-                            capture_output=True, text=True, env=env)
+                            capture_output=True, text=True,
+                            env=child_env(OPENBLAS_NUM_THREADS=THREADS))
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import longmem.sampler as sampler
-from longmem.dft import PaddedSpectrum, convolution_operator
+from longmem.dft import PaddedSpectrum, circulant_matrix, convolution_operator
 from longmem.errors import DegenerateSampleError
 from longmem.estimators import sample_stats
 from longmem.montecarlo import run_study
@@ -123,6 +123,14 @@ def law_eigenvalues(beta, n):
     return np.sort(np.abs(build_grid(n).frequencies) ** (-beta / 2.0))[::-1]
 
 
+def bin_eigenvalues(model):
+    """The density on the FFT bins by |f| rank, from the grid alone: bin 0
+    takes the smallest |f|, and bins k and rn - k the k-th pair above it."""
+    by_rank = model.density[np.argsort(np.abs(model.grid.frequencies), kind="stable")]
+    pairs = by_rank[1::2]
+    return np.concatenate([by_rank[:1], pairs, pairs[::-1]])
+
+
 class TestVarianceLaw:
     """The row is positive, so its DC eigenvalue is the largest, lam_1.  A
     series C eps has sample variance (ddof 1) eps' C P C eps / (rn - 1), P
@@ -217,13 +225,6 @@ class TestSpectralTrend:
 
     REPLICATES = 4000
 
-    @staticmethod
-    def bin_eigenvalues(model):
-        """The density on the FFT bins by |f| rank, from the grid alone."""
-        by_rank = model.density[np.argsort(np.abs(model.grid.frequencies), kind="stable")]
-        pairs = by_rank[1::2]
-        return np.concatenate([by_rank[:1], pairs, pairs[::-1]])
-
     @pytest.mark.parametrize("beta, n", [
         (2.2, 20),  # max |z| = 1.25
         (10, 40),   # max |z| = 1.44
@@ -235,11 +236,45 @@ class TestSpectralTrend:
         power = np.zeros(rn)
         for block in replicate_blocks(model, 5, count):
             power += (np.abs(np.fft.fft(block.series, axis=1)) ** 2).sum(axis=0)
-        ratio = power / count / (rn * self.bin_eigenvalues(model) ** 2)
+        ratio = power / count / (rn * bin_eigenvalues(model) ** 2)
         sd = np.full(rn, math.sqrt(1 / count))
         sd[0] = math.sqrt(2 / count)
         z = (ratio - 1) / sd
         assert np.abs(z).max() <= 4, (int(np.abs(z).argmax()), float(np.abs(z).max()))
+
+
+class TestCovarianceLaw:
+    """Principal component analysis of the replicates: a series C eps has
+    covariance C**2, the circulant whose first row is ifft(lam**2), lam_k the
+    density on FFT bin k by |f| rank as in TestSpectralTrend.  So the Fourier
+    modes are the principal axes and lam_k**2 their variances.  Over R rows
+    W, the known-zero-mean sample covariance S = W'W / R has entries of mean
+    Sigma_ij and variance (Sigma_ii Sigma_jj + Sigma_ij**2) / R.
+
+    Each entry of the upper triangle over 4000 replicates of seed 5 holds at
+    |z| <= 4.  Bonferroni split: the four cases test 2 * 15 + 2 * 231 = 492
+    entries; at a two-sided normal level of 6.3e-5 per entry the family-wise
+    level is 3.1%.  The cases stay at beta <= 2.2: higher up, the variance of
+    the DC mode sets every entry's standard error, and a spectrum on the
+    wrong bins hides below it."""
+
+    REPLICATES = 4000
+
+    @pytest.mark.parametrize("beta, n", [
+        (1.0, 5),   # max |z| = 1.57
+        (2.2, 5),   # max |z| = 0.96
+        (1.0, 21),  # max |z| = 2.58
+        (2.2, 21),  # max |z| = 1.50
+    ])
+    def test_sample_covariance_entries(self, beta, n):
+        model = build_model(beta, n)
+        rn, count = model.rn, self.REPLICATES
+        sigma = circulant_matrix(np.fft.ifft(bin_eigenvalues(model) ** 2).real)
+        s = sum(block.series.T @ block.series for block in replicate_blocks(model, 5, count)) / count
+        var = np.diag(sigma)
+        z = np.abs(s - sigma) / np.sqrt((np.outer(var, var) + sigma**2) / count)
+        z = z[np.triu_indices(rn)]
+        assert z.max() <= 4, (int(z.argmax()), float(z.max()))
 
 
 class TestAggregation:

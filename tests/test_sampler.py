@@ -1,15 +1,14 @@
 """Sampling tests: stream reproducibility, convolution routing, and the
 cosine / standardized transforms."""
 
-import os
 import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -111,12 +110,8 @@ class TestRowNorms:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_batched_norm_is_the_per_row_norm(self, threads):
-        # The checkout's src goes first on the child's PYTHONPATH.
-        path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, path)))
         result = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
-                                text=True, env=env)
+                                text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
         assert result.returncode == 0, result.stderr
         assert result.stdout == "equal\n"
 

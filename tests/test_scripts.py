@@ -6,12 +6,12 @@ spectrum`` and ``longmem study`` report."""
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -27,10 +27,8 @@ def _load_script(name):
 
 def _run(*argv, cwd=None):
     """Run ``python ARGV...`` with the checkout's ``src`` first on PYTHONPATH."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, *map(str, argv)], capture_output=True, text=True, cwd=cwd, env=env
+        [sys.executable, *map(str, argv)], capture_output=True, text=True, cwd=cwd, env=child_env()
     )
 
 

@@ -8,15 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longmem.dft import DENSE_GUARD, circulant_matrix
 from longmem.errors import ResourceLimitError
-from longmem.spectral import (
-    DENSE_GUARD,
-    build_grid,
-    build_model,
-    dense_operator,
-    eigen_report,
-    transform_pair_holds,
-)
+from longmem.spectral import build_grid, build_model, eigen_report
 
 BETA_GRID = [0.0, 0.5, 1.0, 2.2, 3.0, 7.0, 10.0]
 
@@ -119,8 +113,16 @@ class TestBuildModel:
     @pytest.mark.parametrize("beta", BETA_GRID)
     @pytest.mark.parametrize("n", [5, 40, 200])
     def test_transform_pair_round_trip(self, beta, n):
-        # modulus in the construction loses nothing anywhere in beta range
-        assert transform_pair_holds(build_model(beta, n))
+        # modulus in the construction loses nothing anywhere in beta range:
+        # the row's forward transform, which build_model sorts into the
+        # eigenvalues, gives back the density values
+        model = build_model(beta, n)
+        np.testing.assert_allclose(
+            model.eigenvalues,
+            np.sort(model.density)[::-1],
+            rtol=1e-8,
+            atol=1e-8 * float(model.density.max()),
+        )
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     def test_first_row_exact_palindrome(self, beta):
@@ -157,19 +159,19 @@ class TestBuildModel:
 class TestDenseOperator:
     def test_symmetric_and_row_match(self):
         model = build_model(2.2, 11)
-        C = dense_operator(model)
+        C = circulant_matrix(model.first_row)
         np.testing.assert_array_equal(C, C.T)
         np.testing.assert_array_equal(C[0], model.first_row)
         np.testing.assert_array_equal(C[:, 0], model.first_row)
 
     def test_beta0_identity_matrix(self):
-        C = dense_operator(build_model(0.0, 11))
+        C = circulant_matrix(build_model(0.0, 11).first_row)
         np.testing.assert_array_equal(C, np.eye(11))
 
     def test_guard_rejects_large_order(self):
         model = build_model(0.0, DENSE_GUARD + 1)
         with pytest.raises(ResourceLimitError):
-            dense_operator(model)
+            circulant_matrix(model.first_row)
 
     @pytest.mark.parametrize("beta", BETA_GRID)
     @pytest.mark.parametrize("n", [51, 101])
@@ -178,7 +180,7 @@ class TestDenseOperator:
         # eps * lambda_1 absolutely, so tiny eigenvalues carry no relative
         # guarantee of their own
         model = build_model(beta, n)
-        solved = np.sort(np.linalg.eigvalsh(dense_operator(model)))[::-1]
+        solved = np.sort(np.linalg.eigvalsh(circulant_matrix(model.first_row)))[::-1]
         assert (
             np.abs(model.eigenvalues - solved).max() <= 1e-8 * model.eigenvalues[0]
         )
@@ -256,6 +258,6 @@ class TestEigenReport:
     def test_dense_model_reports_from_dense_solver(self):
         # Bit for bit: a dense model reports from its eigvalsh spectrum.
         model = build_model(2.2, 41, dense=True)
-        solved = np.sort(np.linalg.eigvalsh(dense_operator(model)))[::-1]
+        solved = np.sort(np.linalg.eigvalsh(circulant_matrix(model.first_row)))[::-1]
         expected = eigen_report(replace(model, eigenvalues=solved, dense=False))
         assert eigen_report(model) == expected
