@@ -13,10 +13,8 @@ Usage:
 
 import argparse
 
-from longmem._checks import whole
 from longmem.cli import (DEFAULT_REPLICATES, DEFAULT_SEED, RunConfig, _cmd_spectrum, _cmd_study,
-                         flag_type, n_flag, seed_flag)
-from longmem.montecarlo import MIN_REPLICATES
+                         n_flag, seed_flag, study_replicates_flag)
 
 ROW_BETAS = [0.0, 2.2, 3.0, 7.0, 10.0]
 STUDY_BETAS = [2.2, 3.0, 10.0]
@@ -38,8 +36,7 @@ def measured_lines(beta, columns):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=n_flag, default=200)
-    parser.add_argument("--replicates", default=DEFAULT_REPLICATES,
-                        type=flag_type(int, whole, "replicates", minimum=MIN_REPLICATES))
+    parser.add_argument("--replicates", type=study_replicates_flag, default=DEFAULT_REPLICATES)
     parser.add_argument("--seed", type=seed_flag, default=DEFAULT_SEED)
     args = parser.parse_args()
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from longmem._checks import whole
-from longmem.cli import DEFAULT_SEED, RunConfig, _cmd_hist, bins_flag, csv_chunks, flag_type, n_flag, seed_flag
+from longmem.cli import (DEFAULT_SEED, RunConfig, _cmd_hist, bins_flag, csv_chunks, hist_replicates_flag,
+                         n_flag, seed_flag)
 from longmem.estimators import DEFAULT_BIN_COUNT
 
 GALLERY_BETAS = [0.001, 2.2, 4.0, 10.0]
@@ -36,9 +36,7 @@ def sketch(columns, width=50):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="shapes")
-    # accumulate_histogram pools at least one replicate.
-    parser.add_argument("--replicates", default=200,
-                        type=flag_type(int, whole, "replicates", minimum=1))
+    parser.add_argument("--replicates", type=hist_replicates_flag, default=200)
     parser.add_argument("--n", type=n_flag, default=200)
     parser.add_argument("--bins", type=bins_flag, default=DEFAULT_BIN_COUNT)
     parser.add_argument("--seed", type=seed_flag, default=DEFAULT_SEED)

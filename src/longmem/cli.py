@@ -29,7 +29,7 @@ from ._checks import real, whole
 from ._csv import rows_text
 from .errors import InsufficientDataError, LongmemError
 from .estimators import DEFAULT_BIN_COUNT, MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import run_study
+from .montecarlo import MIN_REPLICATES, run_study
 from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate, replicate_blocks
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_model, eigen_report, realized_length
 
@@ -74,7 +74,9 @@ def flag_type(parse, check, name, **bounds):
 beta_flag = flag_type(float, real, "beta", low=BETA_MIN, high=BETA_MAX)
 n_flag = flag_type(int, whole, "n", minimum=N_MIN)
 seed_flag = flag_type(int, whole, "seed", limit=SEED_LIMIT)
-replicates_flag = flag_type(int, whole, "replicates")
+study_replicates_flag = flag_type(int, whole, "replicates", minimum=MIN_REPLICATES)
+# accumulate_histogram pools at least one replicate.
+hist_replicates_flag = flag_type(int, whole, "replicates", minimum=1)
 bins_flag = flag_type(int, whole, "bins", minimum=MIN_BIN_COUNT)
 
 
@@ -106,13 +108,13 @@ def build_parser():
                    help="eigenvalues by rank with summary estimates")
     hist = sub.add_parser("hist", parents=[common],
                           help="pooled histogram of standardized replicates")
-    hist.add_argument("--replicates", type=replicates_flag, default=DEFAULT_REPLICATES,
+    hist.add_argument("--replicates", type=hist_replicates_flag, default=DEFAULT_REPLICATES,
                       help="replicate count (default %(default)s)")
     hist.add_argument("--bins", type=bins_flag, default=DEFAULT_BIN_COUNT,
                       help="histogram bin count (default %(default)s)")
     study = sub.add_parser("study", parents=[common],
                            help="replicated study: eigenvalue estimates vs measured statistics")
-    study.add_argument("--replicates", type=replicates_flag, default=DEFAULT_REPLICATES,
+    study.add_argument("--replicates", type=study_replicates_flag, default=DEFAULT_REPLICATES,
                        help="replicate count (default %(default)s)")
     return parser
 

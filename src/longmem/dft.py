@@ -38,6 +38,13 @@ from .errors import InternalConsistencyError, ResourceLimitError
 # Largest order the dense O(n^2) routes will allocate.
 DENSE_GUARD = 4096
 
+# Longest grid any route will build.  The costliest run per point,
+# ``generate --format json``, peaked at about 990 bytes a point in its own
+# process (n = 200000 and 400000, numpy 2.4.6, above the ~29 MB after
+# import); CSV runs took 130 to 230.  So 2**22 points keep every command
+# under ~4.4 GB.
+LENGTH_GUARD = 2 ** 22
+
 # Relative ceiling for the imaginary residue left by the fast convolution
 # of real inputs; anything above this means a bookkeeping bug.
 IMAG_RESIDUE_TOL = 1e-9
@@ -56,6 +63,14 @@ def _guard_dense(n, what):
         raise ResourceLimitError(
             f"dense {what} of order {n} exceeds the guard limit {DENSE_GUARD}"
         )
+
+
+def guard_length(rn):
+    """``rn``, or ResourceLimitError if a grid of ``rn`` points is longer
+    than ``LENGTH_GUARD``; checked before anything that long is allocated."""
+    if rn > LENGTH_GUARD:
+        raise ResourceLimitError(f"grid length {rn} exceeds the guard limit {LENGTH_GUARD}")
+    return rn
 
 
 @representable

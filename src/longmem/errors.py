@@ -30,4 +30,4 @@ class InsufficientDataError(LongmemError):
 
 
 class ResourceLimitError(LongmemError):
-    """Refusing an allocation above the dense-path guard limit."""
+    """Refusing an allocation above a guard limit: a dense order or a grid length."""

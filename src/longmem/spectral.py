@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import real, whole
-from .dft import circulant_matrix, unitary_dft
+from .dft import circulant_matrix, guard_length, unitary_dft
 from .errors import ModelConstructionError
 
 BETA_MIN = 0.0
@@ -118,13 +118,19 @@ def build_grid(n):
     Returns
     -------
     FrequencyGrid
+
+    Raises
+    ------
+    ResourceLimitError
+        If the grid would be longer than ``LENGTH_GUARD``.
     """
     n = whole(n, "n", N_MIN)
+    rn = guard_length(realized_length(n))
     m = n // 2
     i = np.arange(m)
     negative = (2 * i - n) / (2 * n)
     frequencies = np.concatenate([negative, [1.0 / (2 * n)], -negative[::-1]])
-    return FrequencyGrid(n=n, rn=realized_length(n), frequencies=_frozen(frequencies))
+    return FrequencyGrid(n=n, rn=rn, frequencies=_frozen(frequencies))
 
 
 def build_model(beta, n, dense=False):

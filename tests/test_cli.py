@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import child_env
 
-from longmem import cli, sampler
+from longmem import cli, dft, sampler
 from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
@@ -142,6 +142,10 @@ class TestExitCodes:
             ("generate", "--beta", "2.2", "--n", "5", "--seed", "-1"),
             # study takes no --workers, whatever its value
             ("study", "--beta", "2.2", "--n", "5", "--workers", "1"),
+            # each command's least replicate count: study 2, hist 1
+            ("study", "--beta", "2.2", "--n", "5", "--replicates", "0"),
+            ("study", "--beta", "2.2", "--n", "5", "--replicates", "1"),
+            ("hist", "--beta", "2.2", "--n", "5", "--replicates", "0"),
             ("nonsense", "--beta", "2.2", "--n", "5"),
             (),
         ],
@@ -150,13 +154,14 @@ class TestExitCodes:
         result = run_cli(*args)
         assert result.returncode == 2
         assert result.stderr
+        assert result.stdout == ""
 
     def test_runtime_error_exit_1_machine_readable(self):
-        result = run_cli("study", "--beta", "2.2", "--n", "10", "--replicates", "1")
+        result = run_cli("spectrum", "--beta", "2.2", "--n", "5000", "--dense-oracle")
         assert result.returncode == 1
         error = json.loads(result.stderr)["error"]
-        assert error["type"] == "ValueError"
-        assert "replicates" in error["message"]
+        assert error["type"] == "ResourceLimitError"
+        assert "5001" in error["message"]
 
     def test_degenerate_hist_replicate_names_its_stream(self, monkeypatch, capsys):
         monkeypatch.setattr(sampler, "_draw_noise",
@@ -182,8 +187,10 @@ class TestExitCodes:
 
     def test_empty_replicates_hist_errors(self):
         result = run_cli("hist", "--beta", "2.2", "--n", "10", "--replicates", "0")
-        assert result.returncode == 1
-        assert json.loads(result.stderr)["error"]["type"] == "ValueError"
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            "error: argument --replicates: replicates must be at least 1, got 0\n")
 
     def test_unwritable_output_exit_1_names_path(self):
         result = run_cli(
@@ -473,10 +480,21 @@ class TestResourceErrors:
         result = run_cli("generate", "--beta", "2.2", "--n", "5000", "--dense-oracle")
         assert self._single_json_error(result)["type"] == "ResourceLimitError"
 
-    def test_allocation_failure_follows_error_contract(self):
-        # the grid alone needs exabytes, so allocation fails without touching memory
-        result = run_cli("spectrum", "--beta", "2.2", "--n", "1000000000000000000")
-        assert self._single_json_error(result)["type"] == "MemoryError"
+    def test_grid_above_length_guard_refused(self):
+        # rn = 10**12 + 1 > LENGTH_GUARD: refused before the grid is built
+        result = run_cli("generate", "--beta", "2.2", "--n", "1000000000000")
+        assert self._single_json_error(result)["type"] == "ResourceLimitError"
+
+    def test_allocation_failure_follows_error_contract(self, monkeypatch, capsys):
+        # With the length guard lifted, the grid alone needs exabytes, so
+        # allocation fails without touching memory.
+        monkeypatch.setattr(dft, "LENGTH_GUARD", 10**19)
+        code = cli.main(["spectrum", "--beta", "2.2", "--n", "1000000000000000000"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "MemoryError"
 
 
 class TestStreamedOutput:
@@ -510,13 +528,13 @@ class TestStreamedOutput:
         target = tmp_path / "kept.csv"
         target.write_bytes(b"earlier output\n")
         result = run_cli(
-            "study", "--beta", "2.2", "--n", "10", "--replicates", "1",
+            "spectrum", "--beta", "2.2", "--n", "5000", "--dense-oracle",
             "--output", str(target),
         )
         assert result.returncode == 1
         lines = result.stderr.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["type"] == "ValueError"
+        assert json.loads(lines[0])["error"]["type"] == "ResourceLimitError"
         assert target.read_bytes() == b"earlier output\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

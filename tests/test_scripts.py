@@ -41,6 +41,7 @@ def _run(*argv, cwd=None):
         ("reproduce_tables.py", ["--replicates", "1"]),
         ("reproduce_tables.py", ["--seed", "-1"]),
         ("reproduce_tables.py", ["--n", "1"]),
+        ("shape_gallery.py", ["--replicates", "0"]),
     ],
 )
 def test_rejected_values_are_usage_errors(script, args, tmp_path):

@@ -1,6 +1,7 @@
 """Grid, model, and eigenvalue-report tests against closed-form oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longmem import dft
 from longmem.dft import DENSE_GUARD, circulant_matrix
 from longmem.errors import ResourceLimitError
+from longmem.montecarlo import run_study
 from longmem.spectral import build_grid, build_model, eigen_report
 
 BETA_GRID = [0.0, 0.5, 1.0, 2.2, 3.0, 7.0, 10.0]
@@ -72,6 +75,24 @@ class TestBuildGrid:
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
             build_grid(5.5)
+
+    def test_length_above_guard_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="grid length 1000000000001 exceeds"):
+                build_grid(10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_length_guard_edge(self, monkeypatch):
+        monkeypatch.setattr(dft, "LENGTH_GUARD", 21)
+        assert build_grid(20).rn == build_grid(21).rn == 21
+        for refused in (lambda: build_grid(22), lambda: build_model(2.2, 22),
+                        lambda: run_study(2.2, 22, 2, 5)):
+            with pytest.raises(ResourceLimitError, match="grid length 23 exceeds the guard limit 21"):
+                refused()
 
 
 class TestBuildModel:
