@@ -1,15 +1,15 @@
 """CSV rows from numpy columns, a chunk at a time, with exact cells.
 
 ``rows_text(columns)`` returns the text that ``",".join(cells) + "\\n"``
-per row would give, with float cells written as ``"%.17g" % v``, integer
-cells as ``"%d" % v`` and any other cell as ``"%s" % v``, without
-formatting each number in Python.
+per row would give, without formatting each number in Python.  It takes
+the three cell kinds the commands write: floats, written as
+``"%.17g" % v``; non-negative integers, as ``"%d" % v``; and short ASCII
+text without NUL (labels such as ``statistic``), as ``"%s" % v``.
 
 Each column gets a fixed-width slot in every row of a zero-filled
 ``(rows, width)`` byte matrix.  A slot holds the cell's bytes at fixed
-places, NUL bytes between them, and the separator (``,`` or ``\\n``), so one
-boolean compaction of the matrix, keeping the nonzero bytes and every byte
-of a text cell, gives the chunk's text.
+places, NUL bytes between them, and the separator (``,`` or ``\\n``), so
+keeping the matrix's nonzero bytes gives the chunk's text.
 
 Floats.  With X = floor(log10 |x|), the 17 significant digits of x are
 D = round(|x|·10^(16-X)), in [10^16, 10^17).  The scaled value t is one
@@ -180,27 +180,20 @@ def _python_cells(values):
 
 
 def _int_slots(values, words, groups, sep):
-    """Write integer cells into ``words``, a ``(rows, width)`` uint32 view
-    holding ``groups`` 4-digit groups."""
+    """Write non-negative integer cells into ``words``, a ``(rows, width)``
+    uint32 view holding ``groups`` 4-digit groups."""
     packed = _tables().packed
-    if values.dtype.kind == "u":
-        negative = np.zeros(len(values), dtype=bool)
-        rest = values.astype(np.uint64)
-    else:
-        values = values.astype(np.int64, copy=False)
-        negative = values < 0
-        rest = np.where(negative, -values, values).astype(np.uint64)
+    rest = values.astype(np.uint64)
     width = 4 * groups
     # Leading zeros are NUL: keep the last max(1, digit count) digits.
     count = np.maximum(np.searchsorted(_powers_of_ten(width), rest, side="right"), 1)
     keep = _lead_masks(groups)[width - count]
-    words[:, 0] = negative.astype(np.uint32) * np.uint32(_MINUS << 24)
-    for g in range(groups, 0, -1):
+    for g in range(groups - 1, -1, -1):
         quotient = rest // 10 ** 4
         digits = (rest - quotient * 10 ** 4).astype(np.intp)
-        words[:, g] = packed[digits] & keep[:, g - 1]
+        words[:, g] = packed[digits] & keep[:, g]
         rest = quotient
-    words[:, groups + 1] = ord(sep)
+    words[:, groups] = ord(sep)
 
 
 @functools.cache
@@ -225,11 +218,10 @@ def _plan(values):
     if kind == "f":
         return _FLOAT_WORDS * 8, None
     if kind in "iu":
-        # Sign word, 4-digit groups, separator word, in whole 8-byte words.
-        top = max(int(values.max()), -int(values.min()), 1)
-        groups = -(-len(str(top)) // 4)
-        return (groups + 3) // 2 * 8, groups
-    cells = [("%s" % (v,)).encode("utf-8") for v in values.tolist()]
+        # 4-digit groups and a separator word, in whole 8-byte words.
+        groups = -(-len(str(int(values.max()))) // 4)
+        return (groups + 2) // 2 * 8, groups
+    cells = [("%s" % (v,)).encode("ascii") for v in values.tolist()]
     return (max(map(len, cells)) + 8) // 8 * 8, cells
 
 
@@ -238,7 +230,6 @@ def rows_text(columns):
     index, cells joined by ``,`` and each row ended by a newline."""
     plans = [_plan(values) for values in columns]
     chunk = np.zeros((len(columns[0]), sum(width for width, _ in plans)), dtype=np.uint8)
-    texts = []
     start = 0
     for j, (values, (width, extra)) in enumerate(zip(columns, plans)):
         slot = chunk[:, start:start + width]
@@ -250,10 +241,5 @@ def rows_text(columns):
         else:
             slot[:] = np.array(extra, dtype=f"S{width}").view(np.uint8).reshape(slot.shape)
             slot[:, -1] = ord(sep)
-            texts.append((start, width - 1, [len(cell) for cell in extra]))
         start += width
-    keep = chunk != 0
-    # A text cell keeps all its bytes, NUL included.
-    for start, width, lengths in texts:
-        keep[:, start:start + width] = np.arange(width) < np.array(lengths)[:, None]
-    return chunk[keep].tobytes().decode("utf-8")
+    return chunk[chunk != 0].tobytes().decode("ascii")

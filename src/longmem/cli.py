@@ -2,9 +2,10 @@
 
 Every artifact the model family produces is printable as plot-ready CSV
 (default) or JSON.  CSV begins with a ``#``-commented metadata line whose
-payload is the full parameter set as JSON; floats are written with 17
-significant digits so parsing them back reproduces the in-memory values
-bit-for-bit, and a fixed seed makes reruns byte-identical.
+payload is the full parameter set as JSON.  CSV cells write floats with 17
+significant digits, and JSON (the metadata line included) with Python's
+shortest round-trip repr; either way parsing them back reproduces the
+in-memory values bit-for-bit, and a fixed seed makes reruns byte-identical.
 
 Exit codes: 0 success, 2 malformed flags (argparse), 1 runtime error.
 Runtime errors, allocation failures included, print one machine-readable
@@ -38,8 +39,9 @@ PROG = "longmem"
 DEFAULT_SEED = 5
 DEFAULT_REPLICATES = 500
 
-# Rows formatted and written per write.  A chunk's temporaries take about
-# 460 bytes per row of `generate`'s five columns, 7 MB at 2**14 rows.
+# Rows formatted and written per write, in CSV and JSON.  A chunk's
+# temporaries take about 390 bytes per row of `generate`'s five columns as
+# CSV and 810 as JSON, 6 and 13 MB at 2**14 rows.
 CSV_CHUNK_ROWS = 2 ** 14
 
 
@@ -222,14 +224,32 @@ _HANDLERS = {
 }
 
 
+def _row_chunks(columns):
+    """The columns of a ``{name: array or list}`` dict as arrays, sliced
+    into at most ``CSV_CHUNK_ROWS`` rows at a time."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
+        yield [a[start:start + CSV_CHUNK_ROWS] for a in arrays]
+
+
 def csv_chunks(columns):
     """Yield the CSV header line, then the rows of ``columns`` (a
     ``{name: array or list}`` dict of equal-length columns) as text, at most
     ``CSV_CHUNK_ROWS`` rows per chunk."""
     yield ",".join(columns) + "\n"
-    arrays = [np.asarray(values) for values in columns.values()]
-    for start in range(0, len(arrays[0]), CSV_CHUNK_ROWS):
-        yield rows_text([a[start:start + CSV_CHUNK_ROWS] for a in arrays])
+    yield from map(rows_text, _row_chunks(columns))
+
+
+def _json_rows(columns):
+    """Yield the rows of ``columns`` as the JSON array ``json.dumps(...,
+    indent=2)`` writes one level deep, at most ``CSV_CHUNK_ROWS`` rows per
+    chunk."""
+    yield "["
+    for i, chunk in enumerate(_row_chunks(columns)):
+        rows = json.dumps(list(zip(*(a.tolist() for a in chunk))), indent=2, allow_nan=False)
+        # Without its brackets, indented one level deeper.
+        yield ("," if i else "") + rows[1:-2].replace("\n", "\n  ")
+    yield "\n  ]"
 
 
 def _open_output(output):
@@ -242,21 +262,26 @@ def render(cfg):
     """Run one configured command and write its output to ``cfg.output``.
 
     The command runs before the destination is opened, so a failing command
-    leaves an existing output file untouched.  CSV is formatted and written
-    ``CSV_CHUNK_ROWS`` rows at a time; JSON is written as one piece.  An
-    undefined (non-finite) summary value is written as ``null``; any other
-    non-finite value is an error rather than invalid JSON."""
+    leaves an existing output file untouched.  Rows are formatted and
+    written ``CSV_CHUNK_ROWS`` at a time.  An undefined (non-finite) summary
+    value is written as ``null``; any other non-finite value is an error
+    rather than invalid JSON, raised before anything is written."""
     columns, summary = _HANDLERS[cfg.command](cfg)
     meta = _metadata(cfg)
     if summary is not None:
         summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                    for k, v in summary.items()}
     if cfg.format == "json":
-        values = [np.asarray(v).tolist() for v in columns.values()]
-        payload = {"meta": meta, "columns": list(columns), "rows": list(zip(*values))}
+        columns = {name: np.asarray(values) for name, values in columns.items()}
+        for name, values in columns.items():
+            if values.dtype.kind == "f" and not np.isfinite(values).all():
+                raise ValueError(f"column {name!r} holds a non-finite value, "
+                                 "which JSON cannot represent")
+        payload = {"meta": meta, "columns": list(columns), "rows": []}
         if summary is not None:
             payload["summary"] = summary
-        chunks = [json.dumps(payload, indent=2, allow_nan=False) + "\n"]
+        head, tail = json.dumps(payload, indent=2, allow_nan=False).split('"rows": []')
+        chunks = itertools.chain([head + '"rows": '], _json_rows(columns), [tail + "\n"])
     else:
         head = "# " + json.dumps(meta, allow_nan=False) + "\n"
         if summary is not None:

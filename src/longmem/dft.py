@@ -38,11 +38,11 @@ from .errors import InternalConsistencyError, ResourceLimitError
 # Largest order the dense O(n^2) routes will allocate.
 DENSE_GUARD = 4096
 
-# Longest grid any route will build.  The costliest run per point,
-# ``generate --format json``, peaked at about 990 bytes a point in its own
-# process (n = 200000 and 400000, numpy 2.4.6, above the ~29 MB after
-# import); CSV runs took 130 to 230.  So 2**22 points keep every command
-# under ~4.4 GB.
+# Longest grid any route will build, and the most histogram bins.  Each
+# command run alone at n = 999998 (numpy 2.4.6, peak RSS of its own process
+# above the ~29 MB after import) took 98 (spectrum) to 201 (study, 3
+# replicates) bytes a point, the same in JSON as in CSV; hist at 2**22 bins
+# took 42 bytes a bin.  So 2**22 keeps every command under ~0.9 GB.
 LENGTH_GUARD = 2 ** 22
 
 # Relative ceiling for the imaginary residue left by the fast convolution
@@ -65,12 +65,12 @@ def _guard_dense(n, what):
         )
 
 
-def guard_length(rn):
-    """``rn``, or ResourceLimitError if a grid of ``rn`` points is longer
-    than ``LENGTH_GUARD``; checked before anything that long is allocated."""
-    if rn > LENGTH_GUARD:
-        raise ResourceLimitError(f"grid length {rn} exceeds the guard limit {LENGTH_GUARD}")
-    return rn
+def guard_length(length, what="grid length"):
+    """``length``, or ResourceLimitError naming ``what`` if it exceeds
+    ``LENGTH_GUARD``; checked before anything that long is allocated."""
+    if length > LENGTH_GUARD:
+        raise ResourceLimitError(f"{what} {length} exceeds the guard limit {LENGTH_GUARD}")
+    return length
 
 
 @representable

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import representable, vector, whole
+from .dft import guard_length
 from .errors import DegenerateSampleError, InsufficientDataError
 
 # No law on a bounded interval has variance above range^2 / 4.
@@ -122,13 +123,19 @@ def accumulate_histogram(samples, bin_count=DEFAULT_BIN_COUNT):
         One-dimensional items of standardized values, every entry in
         [0, 1]; at least one.  Any other value raises ValueError.
     bin_count : int
-        Number of uniform bins, at least 2.
+        Number of uniform bins, at least 2 and at most ``LENGTH_GUARD``.
 
     Returns
     -------
     Histogram
+
+    Raises
+    ------
+    ResourceLimitError
+        If ``bin_count`` exceeds ``LENGTH_GUARD``, before the bins are
+        allocated.
     """
-    bin_count = whole(bin_count, "bin_count", MIN_BIN_COUNT)
+    bin_count = guard_length(whole(bin_count, "bin_count", MIN_BIN_COUNT), "bin_count")
     edges = np.linspace(0.0, 1.0, bin_count + 1)
     counts = None
     for sample in samples:

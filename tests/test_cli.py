@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -485,6 +486,24 @@ class TestResourceErrors:
         result = run_cli("generate", "--beta", "2.2", "--n", "1000000000000")
         assert self._single_json_error(result)["type"] == "ResourceLimitError"
 
+    def test_bins_above_length_guard_refused_before_allocating(self, capsys):
+        # 4194305 = LENGTH_GUARD + 1 bins: refused before the edges are built
+        argv = ["hist", "--beta", "2.2", "--n", "5", "--replicates", "1", "--bins", "4194305"]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ResourceLimitError"
+        assert "bin_count 4194305" in error["message"]
+        assert peak < 2**20
+
     def test_allocation_failure_follows_error_contract(self, monkeypatch, capsys):
         # With the length guard lifted, the grid alone needs exabytes, so
         # allocation fails without touching memory.
@@ -498,8 +517,9 @@ class TestResourceErrors:
 
 
 class TestStreamedOutput:
-    """CSV is written in chunks of ``cli.CSV_CHUNK_ROWS`` rows; the chunking
-    must not show in the bytes, and only a command that succeeded writes."""
+    """CSV and JSON rows are written in chunks of ``cli.CSV_CHUNK_ROWS`` rows;
+    the chunking must not show in the bytes, and only a command that
+    succeeded writes."""
 
     @pytest.mark.parametrize(
         "args",
@@ -513,6 +533,9 @@ class TestStreamedOutput:
             ("eigen", "--beta", "10", "--n", "200"),
             # a text column
             ("study", "--beta", "2.2", "--n", "200", "--format", "csv", "--replicates", "5"),
+            ("generate", "--beta", "2.2", "--n", "22", "--format", "json"),
+            ("eigen", "--beta", "10", "--n", "200", "--format", "json"),
+            ("study", "--beta", "2.2", "--n", "200", "--format", "json", "--replicates", "5"),
         ],
     )
     def test_chunk_size_does_not_change_bytes(self, args, tmp_path, monkeypatch):
@@ -523,6 +546,21 @@ class TestStreamedOutput:
             assert cli.main([*args, "--output", str(target)]) == 0
             written.add(target.read_bytes())
         assert written == {run_cli(*args).stdout.encode()}
+
+    def test_json_peak_memory_per_point(self, tmp_path, monkeypatch):
+        # Only one chunk of rows is held as Python objects at a time.
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1024)
+        target = tmp_path / "generate.json"
+        argv = ["generate", "--beta", "2.2", "--format", "json", "--output", str(target)]
+        assert cli.main([*argv, "--n", "200"]) == 0  # first-use imports and tables
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--n", "20000"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(target.read_text())["rows"]) == 20001
+        assert peak / 20001 < 300
 
     def test_failed_command_leaves_output_untouched(self, tmp_path):
         target = tmp_path / "kept.csv"
@@ -546,6 +584,30 @@ class TestStreamedOutput:
         lines = result.stderr.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "OSError"
+
+
+class TestCellKinds:
+    """Every column a command returns is one of the three cell kinds
+    ``longmem._csv`` renders: float64, non-negative integers, or ASCII text
+    without NUL.  A column of any other kind fails here rather than printing
+    wrong bytes."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("n", [2, 40])
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_columns_are_renderable(self, command, n, dense):
+        cfg = cli.RunConfig(command=command, beta=2.2, n=n, replicates=3, bins=10,
+                            dense_oracle=dense)
+        columns, _ = cli._HANDLERS[command](cfg)
+        for name, values in columns.items():
+            values = np.asarray(values)
+            if values.dtype.kind in "iu":
+                assert values.min() >= 0, name
+            elif values.dtype.kind == "U":
+                text = "".join(values.tolist())
+                assert text.isascii() and "\0" not in text, name
+            else:
+                assert values.dtype == np.float64, name
 
 
 class TestChunkedReplicates:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem.errors import DegenerateSampleError, InsufficientDataError
+from longmem import dft
+from longmem.errors import DegenerateSampleError, InsufficientDataError, ResourceLimitError
 from longmem.estimators import (
     POPOVICIU_LIMIT,
     Histogram,
@@ -213,6 +214,12 @@ class TestHistogram:
             accumulate_histogram([np.array([0.5])], bin_count=1)
         with pytest.raises(ValueError):
             accumulate_histogram([], bin_count=10)
+
+    def test_bin_count_guard_edge(self, monkeypatch):
+        monkeypatch.setattr(dft, "LENGTH_GUARD", 16)
+        assert accumulate_histogram([np.array([0.5])], bin_count=16).bin_count == 16
+        with pytest.raises(ResourceLimitError, match="bin_count 17 exceeds the guard limit 16"):
+            accumulate_histogram([np.array([0.5])], bin_count=17)
 
     def test_u_shape_at_beta10(self):
         # frozen after measuring across 10 seeded runs: edge bins run
