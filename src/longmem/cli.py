@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import itertools
 import json
 import math
@@ -297,7 +298,25 @@ def _emit(text, out):
     out.write(text)
 
 
+def _keep_freed_blocks():
+    """Have glibc's malloc serve blocks under 4 MiB from its heap and keep up
+    to 32 MiB of it mapped once freed, for the life of the process, so each
+    replicate block reuses the previous block's transform buffers (3.2 MB at
+    hist's rn = 200001) instead of page-faulting fresh ones.  Larger blocks
+    are still mapped and returned one by one: kept at 8 MiB, the 8 MB rows
+    of n = 999998 raised hist's peak there by 7%.  Silently does nothing
+    where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD, <malloc.h>
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
+    _keep_freed_blocks()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -39,10 +39,11 @@ from .errors import InternalConsistencyError, ResourceLimitError
 DENSE_GUARD = 4096
 
 # Longest grid any route will build, and the most histogram bins.  Each
-# command run alone at n = 999998 (numpy 2.4.6, peak RSS of its own process
-# above the ~29 MB after import) took 98 (spectrum) to 201 (study, 3
-# replicates) bytes a point, the same in JSON as in CSV; hist at 2**22 bins
-# took 42 bytes a bin.  So 2**22 keeps every command under ~0.9 GB.
+# command run alone through `cli.main` at n = 999998 (numpy 2.4.6, glibc,
+# peak RSS of its own process above the ~29 MB after import) took 101
+# (spectrum) to 173 (study, 3 replicates) bytes a point, the same in JSON as
+# in CSV; hist at 2**22 bins took 50 bytes a bin.  So 2**22 keeps every
+# command under ~0.8 GB.
 LENGTH_GUARD = 2 ** 22
 
 # Relative ceiling for the imaginary residue left by the fast convolution
@@ -251,6 +252,8 @@ def _convolve_padded(operator, block):
     # transform buffers exist.
     expected = operator.row_sum * block.sum(axis=1)
     scale = operator.row_abs_sum * np.abs(block).sum(axis=1)
+    # pocketfft allocates its plan and scratch on every call (numpy caches
+    # neither); `cli.main`'s allocator setting is what recycles them.
     spectrum = np.fft.rfft(block, length, axis=1)
     np.multiply(spectrum, operator.spectrum, out=spectrum)
     linear = np.fft.irfft(spectrum, length, axis=1)

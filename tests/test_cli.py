@@ -585,6 +585,19 @@ class TestStreamedOutput:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "OSError"
 
+    def test_closed_pipe_follows_error_contract(self):
+        # As in `longmem generate ... | head -c 100`.
+        with subprocess.Popen(
+            [sys.executable, "-m", "longmem", "generate", "--beta", "2.2", "--n", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as child:
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()
+            lines = child.stderr.read().decode().splitlines()
+        assert child.returncode == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "BrokenPipeError"
+
 
 class TestCellKinds:
     """Every column a command returns is one of the three cell kinds
