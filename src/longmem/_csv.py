@@ -184,30 +184,18 @@ def _int_slots(values, words, groups, sep):
     uint32 view holding ``groups`` 4-digit groups."""
     packed = _tables().packed
     rest = values.astype(np.uint64)
-    width = 4 * groups
-    # Leading zeros are NUL: keep the last max(1, digit count) digits.
-    count = np.maximum(np.searchsorted(_powers_of_ten(width), rest, side="right"), 1)
-    keep = _lead_masks(groups)[width - count]
     for g in range(groups - 1, -1, -1):
         quotient = rest // 10 ** 4
-        digits = (rest - quotient * 10 ** 4).astype(np.intp)
-        words[:, g] = packed[digits] & keep[:, g]
+        words[:, g] = packed[(rest - quotient * 10 ** 4).astype(np.intp)]
         rest = quotient
     words[:, groups] = ord(sep)
-
-
-@functools.cache
-def _powers_of_ten(width):
-    return np.array([10 ** k for k in range(width)], dtype=np.uint64)
-
-
-@functools.cache
-def _lead_masks(groups):
-    """masks[z]: per 4-digit group, the bytes kept when the first z digits
-    of the ``4 * groups``-digit field are leading zeros."""
-    width = 4 * groups
-    rows = [bytes(z) + b"\xff" * (width - z) for z in range(width)]
-    return np.frombuffer(b"".join(rows), dtype=np.uint32).reshape(width, groups)
+    # Leading zeros are NUL: clear each "0" before the first nonzero digit,
+    # except the last digit.
+    digits = words[:, :groups].view(np.uint8)
+    seen = np.zeros(len(digits), dtype=bool)
+    for k in range(4 * groups - 1):
+        seen |= digits[:, k] != ord("0")
+        digits[:, k] *= seen
 
 
 def _plan(values):

@@ -7,9 +7,9 @@ significant digits, and JSON (the metadata line included) with Python's
 shortest round-trip repr; either way parsing them back reproduces the
 in-memory values bit-for-bit, and a fixed seed makes reruns byte-identical.
 
-Exit codes: 0 success, 2 malformed flags (argparse), 1 runtime error.
-Runtime errors, allocation failures included, print one machine-readable
-JSON line on stderr.
+Exit codes: 0 success, 2 malformed flags (argparse), 1 runtime error, 130
+interrupted (SIGINT).  Runtime errors, allocation failures included, and
+interrupts print one machine-readable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import itertools
 import json
 import math
 import operator
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 
@@ -253,17 +255,47 @@ def _json_rows(columns):
     yield "\n  ]"
 
 
+@contextlib.contextmanager
 def _open_output(output):
+    """The text stream to write ``output`` through.  A regular file (or a
+    path not there yet) is written to a new file beside it, which replaces
+    it once complete and closed and is removed if anything fails first;
+    ``-`` and any other existing target are written directly."""
     if output == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(output, "w", encoding="utf-8", newline="")
+        yield sys.stdout
+        return
+    try:
+        regular = stat.S_ISREG(os.stat(output).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(output, "w", encoding="utf-8", newline="") as out:
+            yield out
+        return
+    head, tail = os.path.split(output)
+    temporary = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        # 0o666 less the umask, the mode open(output, "w") gives a new file.
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, output) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as out:
+            yield out
+        os.replace(temporary, output)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def render(cfg):
     """Run one configured command and write its output to ``cfg.output``.
 
-    The command runs before the destination is opened, so a failing command
-    leaves an existing output file untouched.  Rows are formatted and
+    The command runs before the destination is opened, and a regular output
+    file is replaced only once completely written, so a command or a write
+    that fails, or an interrupt, leaves an existing output file untouched.
+    The new file takes the mode ``open(path, "w")`` gives a new file, and a
+    symlink at the path is replaced, not followed.  Rows are formatted and
     written ``CSV_CHUNK_ROWS`` at a time.  An undefined (non-finite) summary
     value is written as ``null``; any other non-finite value is an error
     rather than invalid JSON, raised before anything is written."""
@@ -321,11 +353,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         render(config_from_args(args))
-    except (LongmemError, ValueError, OSError, MemoryError) as exc:
+    except (LongmemError, ValueError, OSError, MemoryError, KeyboardInterrupt) as exc:
         sys.stderr.write(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"
         )
-        return 1
+        return 130 if isinstance(exc, KeyboardInterrupt) else 1
     return 0
 
 

@@ -3,31 +3,24 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import child_env, constant_rows, strict_json
 
+import longmem
 from longmem import cli, dft, sampler
 from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def constant_rows(draw, failing):
-    """``draw`` (``sampler._draw_noise``) with the rows of the streams in
-    ``failing`` made constant."""
-    def drawn(keyer, start, stop, rn):
-        epsilon = draw(keyer, start, stop, rn)
-        epsilon[[i - start for i in sorted(failing) if start <= i < stop]] = 1.0
-        return epsilon
-    return drawn
 
 
 def run_cli(*args, env_extra=None):
@@ -69,15 +62,6 @@ def main_stdout(capsys, *args):
     return capsys.readouterr().out
 
 
-def strict_json(text):
-    """``json.loads`` that rejects the non-standard NaN and Infinity tokens."""
-
-    def reject(token):
-        raise ValueError(f"not RFC 8259 JSON: {token}")
-
-    return json.loads(text, parse_constant=reject)
-
-
 def column(rows, columns, name):
     k = columns.index(name)
     return np.array([row[k] for row in rows])
@@ -100,6 +84,12 @@ class TestMetadataAndFormats:
         assert meta["dense_oracle"] is False
         assert meta["generator"] == GENERATOR
         assert "version" in meta
+
+    @pytest.mark.filterwarnings(r"ignore:Support for `\[tool.setuptools\]` in `pyproject.toml`")
+    def test_package_version_is_the_module_version(self):
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        config = pyprojecttoml.read_configuration(Path(__file__).parent.parent / "pyproject.toml")
+        assert config["project"]["version"] == longmem.__version__
 
     def test_json_format_round_trips_csv_values(self):
         args = ("study", "--beta", "2.2", "--n", "20", "--replicates", "10")
@@ -597,6 +587,48 @@ class TestStreamedOutput:
         assert child.returncode == 1
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["type"] == "BrokenPipeError"
+
+    def test_write_past_file_size_limit_leaves_output_untouched(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"earlier output\n")
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (10**6, 10**6))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+        result = subprocess.run(
+            [sys.executable, "-m", "longmem", "generate", "--beta", "2.2", "--n", "200000",
+             "--output", str(target)],
+            capture_output=True, text=True, env=child_env(), preexec_fn=limit_file_size,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "OSError"
+        assert target.read_bytes() == b"earlier output\n"
+        assert os.listdir(tmp_path) == ["kept.csv"]
+
+    def test_interrupt_leaves_output_untouched(self, tmp_path):
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"earlier output\n")
+        with subprocess.Popen(
+            [sys.executable, "-m", "longmem", "generate", "--beta", "2.2", "--n", "200000",
+             "--output", str(target)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as child:
+            # Interrupt once the new file beside the target holds the first chunk.
+            while not any(path != target and path.stat().st_size for path in tmp_path.iterdir()):
+                assert child.poll() is None
+                time.sleep(0.001)
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        assert child.returncode == 130
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "KeyboardInterrupt"
+        assert target.read_bytes() == b"earlier output\n"
+        assert os.listdir(tmp_path) == ["kept.csv"]
 
 
 class TestCellKinds:

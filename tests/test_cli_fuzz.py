@@ -14,8 +14,8 @@ contract:
 
 import contextlib
 import io
-import json
 
+from conftest import strict_json
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -76,13 +76,6 @@ def invoke(args):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
-
-
-def strict_json(text):
-    def reject(token):
-        raise ValueError(f"not RFC 8259 JSON: {token}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 def check_csv(text):

@@ -121,6 +121,8 @@ class TestIntegerCells:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
     @example([0, 2**64 - 1, 10**19, 10**19 - 1])
+    # One 5-group column with every run of leading zeros, 0 to 19 long.
+    @example([0, 2**64 - 1] + [v for k in range(1, 20) for v in (10**k - 1, 10**k)])
     def test_uint64(self, values):
         values = np.array(values, dtype=np.uint64)
         assert _csv.rows_text([values]).split("\n")[:-1] == ["%d" % v for v in values.tolist()]

@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from conftest import constant_rows
 
 import longmem.sampler as sampler
 from longmem.dft import PaddedSpectrum, circulant_matrix, convolution_operator
@@ -14,16 +15,6 @@ from longmem.estimators import sample_stats
 from longmem.montecarlo import run_study
 from longmem.sampler import RngStream, generate, replicate_blocks
 from longmem.spectral import build_grid, build_model, eigen_report
-
-
-def constant_rows(draw, failing):
-    """``draw`` (``sampler._draw_noise``) with the rows of the streams in
-    ``failing`` made constant."""
-    def drawn(keyer, start, stop, rn):
-        epsilon = draw(keyer, start, stop, rn)
-        epsilon[[i - start for i in sorted(failing) if start <= i < stop]] = 1.0
-        return epsilon
-    return drawn
 
 
 def _report_floats(report):
