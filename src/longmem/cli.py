@@ -6,6 +6,8 @@ payload is the full parameter set as JSON.  CSV cells write floats with 17
 significant digits, and JSON (the metadata line included) with Python's
 shortest round-trip repr; either way parsing them back reproduces the
 in-memory values bit-for-bit, and a fixed seed makes reruns byte-identical.
+CSV chunks render on up to two threads and are written in row order, so the
+bytes do not depend on the thread count; JSON renders on the main thread.
 
 Exit codes: 0 success, 2 malformed flags (argparse), 1 runtime error, 130
 interrupted (SIGINT).  Runtime errors, allocation failures included, and
@@ -15,6 +17,7 @@ interrupts print one machine-readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import ctypes
 import itertools
@@ -44,7 +47,8 @@ DEFAULT_REPLICATES = 500
 
 # Rows formatted and written per write, in CSV and JSON.  A chunk's
 # temporaries take about 390 bytes per row of `generate`'s five columns as
-# CSV and 810 as JSON, 6 and 13 MB at 2**14 rows.
+# CSV and 810 as JSON, 6 and 13 MB at 2**14 rows.  CSV keeps up to
+# threads + 1 = 3 chunks in flight, so at most about 19 MB; JSON one.
 CSV_CHUNK_ROWS = 2 ** 14
 
 
@@ -235,12 +239,45 @@ def _row_chunks(columns):
         yield [a[start:start + CSV_CHUNK_ROWS] for a in arrays]
 
 
+def _render_threads():
+    """Threads that render CSV chunks: two where this process may run on at
+    least two CPUs, else one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
 def csv_chunks(columns):
     """Yield the CSV header line, then the rows of ``columns`` (a
     ``{name: array or list}`` dict of equal-length columns) as text, at most
-    ``CSV_CHUNK_ROWS`` rows per chunk."""
+    ``CSV_CHUNK_ROWS`` rows per chunk, in row order.
+
+    Chunks render on ``_render_threads()`` threads, numpy's loops releasing
+    the GIL, with at most ``threads + 1`` submitted ahead of the consumer;
+    one thread, or one chunk, renders inline.  Closing the generator cancels
+    the chunks not started and waits for the rest, and a chunk's exception
+    is raised here unchanged."""
     yield ",".join(columns) + "\n"
-    yield from map(rows_text, _row_chunks(columns))
+    rows = len(next(iter(columns.values())))
+    threads = min(_render_threads(), -(-rows // CSV_CHUNK_ROWS))
+    if threads < 2:
+        yield from map(rows_text, _row_chunks(columns))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(threads)
+    window = collections.deque()
+    try:
+        for chunk in _row_chunks(columns):
+            window.append(pool.submit(rows_text, chunk))
+            if len(window) > threads:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _json_rows(columns):
@@ -296,9 +333,13 @@ def render(cfg):
     that fails, or an interrupt, leaves an existing output file untouched.
     The new file takes the mode ``open(path, "w")`` gives a new file, and a
     symlink at the path is replaced, not followed.  Rows are formatted and
-    written ``CSV_CHUNK_ROWS`` at a time.  An undefined (non-finite) summary
-    value is written as ``null``; any other non-finite value is an error
-    rather than invalid JSON, raised before anything is written."""
+    written ``CSV_CHUNK_ROWS`` at a time, in row order: CSV chunks on
+    ``_render_threads()`` threads, at most ``threads + 1`` of them ahead of
+    the write, and JSON on this thread.  Every write goes through ``_emit``
+    on this thread, and no render thread outlives the call, whether it
+    returns or raises.  An undefined (non-finite) summary value is written
+    as ``null``; any other non-finite value is an error rather than invalid
+    JSON, raised before anything is written."""
     columns, summary = _HANDLERS[cfg.command](cfg)
     meta = _metadata(cfg)
     if summary is not None:
@@ -314,13 +355,17 @@ def render(cfg):
         if summary is not None:
             payload["summary"] = summary
         head, tail = json.dumps(payload, indent=2, allow_nan=False).split('"rows": []')
-        chunks = itertools.chain([head + '"rows": '], _json_rows(columns), [tail + "\n"])
+        body = _json_rows(columns)
+        chunks = itertools.chain([head + '"rows": '], body, [tail + "\n"])
     else:
         head = "# " + json.dumps(meta, allow_nan=False) + "\n"
         if summary is not None:
             head += "# summary " + json.dumps(summary, allow_nan=False) + "\n"
-        chunks = itertools.chain([head], csv_chunks(columns))
-    with _open_output(cfg.output) as out:
+        body = csv_chunks(columns)
+        chunks = itertools.chain([head], body)
+    # Closing the body stops its render threads before a failed output is
+    # removed and the error reaches main.
+    with _open_output(cfg.output) as out, contextlib.closing(body):
         for text in chunks:
             _emit(text, out)
 
@@ -336,8 +381,10 @@ def _keep_freed_blocks():
     replicate block reuses the previous block's transform buffers (3.2 MB at
     hist's rn = 200001) instead of page-faulting fresh ones.  Larger blocks
     are still mapped and returned one by one: kept at 8 MiB, the 8 MB rows
-    of n = 999998 raised hist's peak there by 7%.  Silently does nothing
-    where the C library has no ``mallopt``."""
+    of n = 999998 raised hist's peak there by 7%.  Threads share that one
+    heap: with an arena each, the two CSV render threads raised the peak of
+    ``generate --n 200000`` from 62 to 80 MB.  Silently does nothing where
+    the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -345,6 +392,7 @@ def _keep_freed_blocks():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD, <malloc.h>
     mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def main(argv=None):

@@ -1,11 +1,14 @@
 """End-to-end command line tests via subprocess."""
 
+import io
+import itertools
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -506,6 +509,21 @@ class TestResourceErrors:
         assert json.loads(lines[0])["error"]["type"] == "MemoryError"
 
 
+def _stderr_noting_threads(monkeypatch):
+    """Replace ``sys.stderr`` with a text buffer whose ``threads`` list holds
+    the live thread count at each write."""
+
+    class Noting(io.StringIO):
+        def write(self, text):
+            self.threads.append(threading.active_count())
+            return super().write(text)
+
+    err = Noting()
+    err.threads = []
+    monkeypatch.setattr(sys, "stderr", err)
+    return err
+
+
 class TestStreamedOutput:
     """CSV and JSON rows are written in chunks of ``cli.CSV_CHUNK_ROWS`` rows;
     the chunking must not show in the bytes, and only a command that
@@ -530,12 +548,95 @@ class TestStreamedOutput:
     )
     def test_chunk_size_does_not_change_bytes(self, args, tmp_path, monkeypatch):
         written = set()
-        for chunk_rows in (1, 7, 10**6):
+        for chunk_rows, threads in [(10**6, 1), *itertools.product((1, 7), (1, 2, 3))]:
             monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
-            target = tmp_path / f"chunk{chunk_rows}.csv"
+            monkeypatch.setattr(cli, "_render_threads", lambda threads=threads: threads)
+            target = tmp_path / f"chunk{chunk_rows}-{threads}.csv"
             assert cli.main([*args, "--output", str(target)]) == 0
             written.add(target.read_bytes())
         assert written == {run_cli(*args).stdout.encode()}
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_render_window_is_bounded(self, threads, tmp_path, monkeypatch):
+        # A slow writer: unbounded submission would run far ahead of it.
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "_render_threads", lambda: threads)
+        lock = threading.Lock()
+        emitted, started, ahead, renderers = [], [], [], set()
+        render, emit = cli.rows_text, cli._emit
+
+        def rows_text(chunk):
+            with lock:
+                started.append(len(chunk[0]))
+                # The metadata line and the column header come first.
+                ahead.append(len(started) - max(len(emitted) - 2, 0))
+                renderers.add(threading.get_ident())
+            return render(chunk)
+
+        def slow_emit(text, out):
+            emit(text, out)
+            time.sleep(0.002)
+            with lock:
+                emitted.append(text)
+
+        monkeypatch.setattr(cli, "rows_text", rows_text)
+        monkeypatch.setattr(cli, "_emit", slow_emit)
+        target = tmp_path / "generate.csv"
+        assert cli.main(["generate", "--beta", "2.2", "--n", "200", "--output", str(target)]) == 0
+        assert len(started) == -(-201 // 7)
+        assert max(ahead) <= threads + 1
+        assert threading.get_ident() not in renderers
+        assert target.read_bytes() == run_cli("generate", "--beta", "2.2", "--n", "200").stdout.encode()
+
+    def test_render_failure_stops_threads_before_the_error_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "_render_threads", lambda: 2)
+        render, calls = cli.rows_text, itertools.count()
+
+        def failing(chunk):
+            if next(calls) == 2:
+                raise ValueError("third chunk")
+            return render(chunk)
+
+        monkeypatch.setattr(cli, "rows_text", failing)
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"earlier output\n")
+        before = threading.active_count()
+        err = _stderr_noting_threads(monkeypatch)
+        assert cli.main(["generate", "--beta", "2.2", "--n", "200", "--output", str(target)]) == 1
+        assert err.threads == [before]
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {"type": "ValueError", "message": "third chunk"}
+        assert target.read_bytes() == b"earlier output\n"
+        assert os.listdir(tmp_path) == ["kept.csv"]
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_stops_threads_before_the_error_line(self, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "_render_threads", lambda: 2)
+        before = threading.active_count()
+        err = _stderr_noting_threads(monkeypatch)
+        assert cli.main(["generate", "--beta", "2.2", "--n", "20000", "--output", "/dev/full"]) == 1
+        assert err.threads == [before]
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "OSError"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two CPUs")
+    def test_one_cpu_renders_inline_with_the_same_bytes(self):
+        # 40001 rows: three chunks, rendered inline on one CPU and on two
+        # threads otherwise.  OpenBLAS sizes its own pool by the affinity too,
+        # and its dots round differently on one thread, so both runs use one.
+        args = ["generate", "--beta", "2.2", "--n", "40000"]
+        blas = {"OPENBLAS_NUM_THREADS": "1"}
+        cpu = min(os.sched_getaffinity(0))
+        one = subprocess.run([sys.executable, "-m", "longmem", *args], capture_output=True,
+                             env=child_env(**blas), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        assert one.returncode == 0, one.stderr
+        assert one.stdout == run_cli(*args, env_extra=blas).stdout.encode()
 
     def test_json_peak_memory_per_point(self, tmp_path, monkeypatch):
         # Only one chunk of rows is held as Python objects at a time.
@@ -551,6 +652,22 @@ class TestStreamedOutput:
             tracemalloc.stop()
         assert len(json.loads(target.read_text())["rows"]) == 20001
         assert peak / 20001 < 300
+
+    def test_csv_peak_memory_per_point(self, tmp_path, monkeypatch):
+        # At most threads + 1 chunks are in flight, each with its temporaries;
+        # tracemalloc sees the render threads' numpy allocations too.
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 1024)
+        target = tmp_path / "generate.csv"
+        argv = ["generate", "--beta", "2.2", "--output", str(target)]
+        assert cli.main([*argv, "--n", "200"]) == 0  # first-use imports and tables
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--n", "20000"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(target.read_text().splitlines()) == 2 + 20001
+        assert peak / 20001 < 150
 
     def test_failed_command_leaves_output_untouched(self, tmp_path):
         target = tmp_path / "kept.csv"
