@@ -21,7 +21,10 @@ is within 1.5 ulp of the exact value, and frac(t) - 1/2 is a whole
 multiple of ulp.  A cell more than t·eps (at least one ulp) from a tie is
 then at least two ulps from it, and rounding t gives the exact D.  A cell
 within ``TIE_WINDOW``·t of a tie (about 1% of cells with x86's 80-bit
-``longdouble``) is formatted by Python, as are NaN, ±inf and ±0.  Where
+``longdouble``) is formatted by Python, as are NaN, ±inf and ±0.  X is
+estimated once: where log10 comes out one off next to a power of ten, t
+misses [10^16, 10^17) and the cell goes to Python too, as does a carry
+(round(t) = 10^17).  Where
 ``longdouble`` is ``float64`` the window is wider than one half, so every
 float cell takes Python's path and the bytes are the same.
 
@@ -95,10 +98,6 @@ def _tables():
                            spans=spans, marks=marks, exponents=exponents, powers=powers)
 
 
-def _scaled(magnitude, exponent, powers):
-    return magnitude.astype(np.longdouble) * powers[_POW_OFFSET + 16 - exponent]
-
-
 def _float_slots(values, words, sep):
     """Write float cells into ``words``, a ``(rows, 4)`` uint64 view: the
     cell's text in the first 24 bytes, then its exponent suffix and the
@@ -108,25 +107,17 @@ def _float_slots(values, words, sep):
     exact = np.isfinite(magnitude) & (magnitude != 0)
     magnitude[~exact] = 1.0
     exponent = np.floor(np.log10(magnitude)).astype(np.intp)
-    t = _scaled(magnitude, exponent, tab.powers)
+    t = magnitude.astype(np.longdouble) * tab.powers[_POW_OFFSET + 16 - exponent]
     whole = t.astype(np.uint64)
-    # log10 may be one off next to a power of ten: correct once, and leave
-    # a cell that still misses [10^16, 10^17) to Python.
-    off = np.flatnonzero((whole < 10 ** 16) | (whole >= 10 ** 17))
-    if off.size:
-        exponent[off] += np.where(whole[off] >= 10 ** 17, 1, -1)
-        t[off] = _scaled(magnitude[off], exponent[off], tab.powers)
-        whole[off] = t[off].astype(np.uint64)
-        exact[off] &= (whole[off] >= 10 ** 16) & (whole[off] < 10 ** 17)
     # frac(t) - 1/2 is a multiple of ulp(t), so float64 holds it exactly
     # wherever it is near the bound, and float64(floor t) * TIE_WINDOW lies
     # in [ulp(t), 2 ulp(t)] as t * eps does.
     half = ((t - whole.astype(np.longdouble)) - 0.5).astype(np.float64)
     exact &= np.abs(half) > whole.astype(np.float64) * TIE_WINDOW
     digits = whole + (half > 0)
-    # D = 10^17 (a carry) needs t just below an exact 10^17, which only a
-    # power of ten whose log10 came out one low could give: left to Python.
-    exact &= digits < 10 ** 17
+    # X is estimated once: t misses [10^16, 10^17) where log10 came out one
+    # off next to a power of ten, and D = 10^17 is a carry.  Both go to Python.
+    exact &= (whole >= 10 ** 16) & (digits < 10 ** 17)
     digits[~exact] = 10 ** 16
     exponent[~exact] = 0
 

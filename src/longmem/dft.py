@@ -59,18 +59,13 @@ COMPLEX_MAX_PRIME = 67
 SUM_IDENTITY_TOL = 1e-12
 
 
-def _guard_dense(n, what):
-    if n > DENSE_GUARD:
-        raise ResourceLimitError(
-            f"dense {what} of order {n} exceeds the guard limit {DENSE_GUARD}"
-        )
-
-
-def guard_length(length, what="grid length"):
+def guard_length(length, what="grid length", limit=None):
     """``length``, or ResourceLimitError naming ``what`` if it exceeds
-    ``LENGTH_GUARD``; checked before anything that long is allocated."""
-    if length > LENGTH_GUARD:
-        raise ResourceLimitError(f"{what} {length} exceeds the guard limit {LENGTH_GUARD}")
+    ``limit`` (``LENGTH_GUARD`` when None); checked before anything that
+    long is allocated."""
+    limit = LENGTH_GUARD if limit is None else limit
+    if length > limit:
+        raise ResourceLimitError(f"{what} {length} exceeds the guard limit {limit}")
     return length
 
 
@@ -107,7 +102,7 @@ def unitary_dft(x, direction="forward", dense=False):
 def _dense_dft(arr, direction):
     # Defining double sum, evaluated against an explicit n x n kernel.
     n = arr.size
-    _guard_dense(n, "transform")
+    guard_length(n, "dense transform of order", DENSE_GUARD)
     sign = -1.0 if direction == "forward" else 1.0
     j = np.arange(n)
     kernel = np.exp(sign * 2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
@@ -124,7 +119,7 @@ def circulant_matrix(row):
     """
     row = vector(row, "row")
     n = row.size
-    _guard_dense(n, "circulant matrix")
+    guard_length(n, "dense circulant matrix of order", DENSE_GUARD)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return row[idx]
 

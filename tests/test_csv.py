@@ -155,6 +155,19 @@ class TestRows:
         assert len(chunks) == 1 + 4
         assert "".join(chunks[1:]) == reference_rows(list(columns.values()))
 
+    # generate's four float columns at rn = 20001 span two chunks, so the
+    # render threads run; beta = 10 builds only at the smaller n.
+    @pytest.mark.parametrize("beta, n", [(0.001, 20000), (2.2, 20000), (6, 20000), (10, 2000)])
+    def test_few_generate_cells_reach_python(self, monkeypatch, capsys, beta, n):
+        # The fast path decides about 99% of real cells (measured 0.9-1.3%
+        # left over); more than 2% means a class of cells has moved onto the
+        # slow path.
+        formatted = []
+        monkeypatch.setattr(_csv, "_python_cells",
+                            lambda v: formatted.append(v.size) or python_cells(v))
+        assert cli.main(["generate", "--beta", str(beta), "--n", str(n)]) == 0
+        assert sum(formatted) <= 0.02 * 4 * (n + 1)
+
 
 class TestPowerTable:
     def test_every_entry_is_the_nearest_longdouble(self):
