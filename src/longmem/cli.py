@@ -152,10 +152,11 @@ def _metadata(cfg):
 
 
 def _cmd_generate(cfg):
-    model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
-    sample = generate(model, RngStream(seed=cfg.seed, stream_index=0))
+    # The model goes in inline: generate lets go of it once it holds the row.
+    sample = generate(build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle),
+                      RngStream(seed=cfg.seed, stream_index=0))
     columns = {
-        "index": np.arange(model.rn),
+        "index": np.arange(len(sample.epsilon)),
         "epsilon": sample.epsilon,
         "series": sample.series,
         "cosvec": sample.cosvec,
@@ -177,20 +178,23 @@ def _cmd_spectrum(cfg):
 def _cmd_eigen(cfg):
     model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
     report = eigen_report(model)
-    ranks = range(1, len(model.eigenvalues) + 1)
+    rn = model.rn
+    ranks = range(1, rn + 1)
     # math.log10, not np.log10: the two differ in the last bit on some inputs.
+    # Each into a float64 array, 8 bytes a value against a list's 32.
     columns = {
         "rank": np.array(ranks),
         "eigenvalue": model.eigenvalues,
-        "log10_rank": [math.log10(k) for k in ranks],
-        "log10_eigenvalue": [math.log10(lam) for lam in model.eigenvalues.tolist()],
+        "log10_rank": np.fromiter(map(math.log10, ranks), float, rn),
+        "log10_eigenvalue": np.fromiter(map(math.log10, model.eigenvalues.flat), float, rn),
     }
     return columns, asdict(report)
 
 
 def _cmd_hist(cfg):
-    model = build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle)
-    blocks = replicate_blocks(model, cfg.seed, cfg.replicates)
+    # Built inline, the model is freed once replicate_blocks holds its operator.
+    blocks = replicate_blocks(build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle),
+                              cfg.seed, cfg.replicates)
     # Each block's rows, raveled into one view, are binned together.  map,
     # unlike a generator expression, keeps no reference to the previous
     # block while the next is drawn, so its arrays are freed first.

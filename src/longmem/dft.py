@@ -40,10 +40,10 @@ DENSE_GUARD = 4096
 
 # Longest grid any route will build, and the most histogram bins.  Each
 # command run alone through `cli.main` at n = 999998 (numpy 2.4.6, glibc,
-# peak RSS of its own process above the ~29 MB after import) took 101
-# (spectrum) to 173 (study, 3 replicates) bytes a point, the same in JSON as
-# in CSV; hist at 2**22 bins took 50 bytes a bin.  So 2**22 keeps every
-# command under ~0.8 GB.
+# peak RSS of its own process above the ~28 MB after import) took 102
+# (spectrum, eigen) to 110 (hist, 3 replicates) bytes a point, the same in
+# JSON as in CSV; hist at 2**22 bins took 50 bytes a bin.  So 2**22 keeps
+# every command under ~0.5 GB.
 LENGTH_GUARD = 2 ** 22
 
 # Relative ceiling for the imaginary residue left by the fast convolution

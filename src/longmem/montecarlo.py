@@ -84,13 +84,18 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
 
     model = build_model(beta, n, dense=dense)
     eigen = eigen_report(model)
+    blocks = replicate_blocks(model, seed, replicates)
+    # A replicate reads only what the engine holds, the operator and the
+    # row's norm: the model goes here, and each block before the next is drawn.
+    del model
 
     measured = np.empty((replicates, 3))
-    for block in replicate_blocks(model, seed, replicates):
+    for block in blocks:
         stats = row_stats(block.series)
         measured[block.start:block.start + len(block.series)] = np.column_stack(
             (stats.d_meas, stats.alpha_meas, stats.variance)
         )
+        del block
 
     means = measured.mean(axis=0)
     sds = measured.std(axis=0, ddof=1)

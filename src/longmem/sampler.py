@@ -132,9 +132,12 @@ def generate(model, stream):
     DegenerateSampleError
         If the noise is constant; the message names the stream index.
     """
-    epsilon = draw_epsilon(stream, model.rn)
-    series = circular_convolve(model.first_row, epsilon, dense=model.dense)
-    block = _series_block(epsilon[None], series[None], np.linalg.norm(model.first_row),
+    first_row, dense = model.first_row, model.dense
+    # The rest of the model is freed here if the caller holds no reference.
+    del model
+    epsilon = draw_epsilon(stream, first_row.size)
+    series = circular_convolve(first_row, epsilon, dense=dense)
+    block = _series_block(epsilon[None], series[None], np.linalg.norm(first_row),
                           stream.seed, stream.stream_index)
     return block.sample(0)
 

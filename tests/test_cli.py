@@ -19,7 +19,7 @@ import pytest
 from conftest import child_env, constant_rows, strict_json
 
 import longmem
-from longmem import cli, dft, sampler
+from longmem import cli, dft, montecarlo, sampler
 from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
@@ -68,6 +68,50 @@ def main_stdout(capsys, *args):
 def column(rows, columns, name):
     k = columns.index(name)
     return np.array([row[k] for row in rows])
+
+
+def model_refs(monkeypatch, module):
+    """Weak references, by field name, to the arrays of the model that
+    ``module.build_model`` builds next."""
+    build, refs = module.build_model, {}
+
+    def tracked(*args, **kwargs):
+        model = build(*args, **kwargs)
+        refs.update(density=weakref.ref(model.density), first_row=weakref.ref(model.first_row),
+                    eigenvalues=weakref.ref(model.eigenvalues),
+                    frequencies=weakref.ref(model.grid.frequencies))
+        return model
+
+    monkeypatch.setattr(module, "build_model", tracked)
+    return refs
+
+
+def assert_blocks_freed_in_turn(monkeypatch, module, command):
+    """Run ``command`` at one replicate per block, with ``module``'s
+    ``replicate_blocks`` tracked, and check that each block's arrays are
+    dead before the next block's noise is drawn."""
+    monkeypatch.setattr(sampler, "CHUNK_BYTES", 1)  # one replicate per block
+    engine, draw = module.replicate_blocks, sampler._draw_noise
+    arrays, drawn = [], []
+
+    def tracked_blocks(*args, **kwargs):
+        for block in engine(*args, **kwargs):
+            arrays.extend(weakref.ref(a) for a in (
+                block.epsilon, block.series, block.cosvec, block.standardized))
+            yield block
+            del block
+
+    def tracked_draw(keyer, start, stop, rn):
+        assert all(ref() is None for ref in arrays)
+        drawn.append((start, stop))
+        return draw(keyer, start, stop, rn)
+
+    monkeypatch.setattr(module, "replicate_blocks", tracked_blocks)
+    monkeypatch.setattr(sampler, "_draw_noise", tracked_draw)
+    argv = [command, "--beta", "2.2", "--n", "20", "--replicates", "4", "--output", os.devnull]
+    assert cli.main(argv) == 0
+    assert len(arrays) == 4 * 4
+    assert drawn == [(0, 1), (1, 2), (2, 3), (3, 4)]  # the hook fired once per block
 
 
 class TestMetadataAndFormats:
@@ -288,6 +332,20 @@ class TestEigen:
         result = run_cli("eigen", "--beta", "10", "--n", "40", "--format", "json")
         assert result.stdout == (GOLDEN / "eigen_beta10_n40.json").read_text()
 
+    @pytest.mark.parametrize("beta, n", [(2.2, 20000), (10, 2000)])
+    def test_log10_columns_are_the_math_log10_values(self, beta, n):
+        # Sizes the digest grid does not reach: float64 arrays, bit for bit
+        # the lists of math.log10 values they replace.
+        columns, _ = cli._cmd_eigen(cli.RunConfig(command="eigen", beta=beta, n=n))
+        lam = build_model(beta, n).eigenvalues.tolist()
+        expected = {
+            "log10_rank": [math.log10(k) for k in range(1, len(lam) + 1)],
+            "log10_eigenvalue": [math.log10(value) for value in lam],
+        }
+        for name, values in expected.items():
+            assert columns[name].dtype == np.float64
+            assert np.array_equal(columns[name], values)
+
 
 class TestHist:
     def test_counts_mass_and_fit(self):
@@ -327,28 +385,31 @@ class TestHist:
     def test_each_replicate_freed_before_the_next_is_drawn(self, monkeypatch):
         # Peak memory holds one block of replicates, not two: at hist-wide's
         # size (rn = 200001) a block is one replicate of about 8 MB.
-        monkeypatch.setattr(sampler, "CHUNK_BYTES", 1)  # one replicate per block
-        engine, draw = cli.replicate_blocks, sampler._draw_noise
-        arrays, drawn = [], []
+        assert_blocks_freed_in_turn(monkeypatch, cli, "hist")
 
-        def tracked_blocks(*args, **kwargs):
-            for block in engine(*args, **kwargs):
-                arrays.extend(weakref.ref(a) for a in (
-                    block.epsilon, block.series, block.cosvec, block.standardized))
-                yield block
-                del block
+    def test_each_study_block_freed_before_the_next_is_drawn(self, monkeypatch):
+        # study reduces each block to its statistics; the block goes first.
+        assert_blocks_freed_in_turn(monkeypatch, montecarlo, "study")
 
-        def tracked_draw(keyer, start, stop, rn):
-            assert all(ref() is None for ref in arrays)
-            drawn.append((start, stop))
-            return draw(keyer, start, stop, rn)
+    @pytest.mark.parametrize("command, module, hook, kept", [
+        ("hist", cli, "_draw_noise", []),
+        ("study", montecarlo, "_draw_noise", []),
+        ("generate", cli, "draw_epsilon", ["first_row"]),  # the row it convolves with
+    ], ids=["hist", "study", "generate"])
+    def test_model_freed_before_the_first_draw(self, command, module, hook, kept, monkeypatch):
+        # A replicate reads only the operator and the row's norm; the model's
+        # four arrays take 32 bytes a point, 32 MB at n = 999998.
+        refs, draw, alive = model_refs(monkeypatch, module), getattr(sampler, hook), []
 
-        monkeypatch.setattr(cli, "replicate_blocks", tracked_blocks)
-        monkeypatch.setattr(sampler, "_draw_noise", tracked_draw)
-        argv = ["hist", "--beta", "2.2", "--n", "20", "--replicates", "4", "--output", os.devnull]
+        def tracked_draw(*args):
+            alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+            return draw(*args)
+
+        monkeypatch.setattr(sampler, hook, tracked_draw)
+        replicates = [] if command == "generate" else ["--replicates", "4"]
+        argv = [command, "--beta", "2.2", "--n", "20", *replicates, "--output", os.devnull]
         assert cli.main(argv) == 0
-        assert len(arrays) == 4 * 4
-        assert drawn == [(0, 1), (1, 2), (2, 3), (3, 4)]  # the hook fired once per block
+        assert alive == [kept]  # one draw: 4 replicates at rn = 21 are one block
 
     def test_pools_one_block_per_item(self, monkeypatch):
         # rn = 201 gives blocks of 100_000 // (16 * 201) = 31 replicates.
