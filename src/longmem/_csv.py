@@ -22,9 +22,12 @@ multiple of ulp.  A cell more than t·eps (at least one ulp) from a tie is
 then at least two ulps from it, and rounding t gives the exact D.  A cell
 within ``TIE_WINDOW``·t of a tie (about 1% of cells with x86's 80-bit
 ``longdouble``) is formatted by Python, as are NaN, ±inf and ±0.  X is
-estimated once: where log10 comes out one off next to a power of ten, t
-misses [10^16, 10^17) and the cell goes to Python too, as does a carry
-(round(t) = 10^17).  Where
+estimated once: where log10 comes out one too high just below a power of
+ten, t falls below 10^16 and the cell goes to Python too.  It does not come
+out too low next to a power of ten, so t < 10^17, and no cell carries:
+round(t) = 10^17 needs |x| within 5e-18 (relative) below some 10^k with
+X = k - 1, which only the double nearest 10^k can be, and log10 gives
+each such double k.  The tests check both at every k.  Where
 ``longdouble`` is ``float64`` the window is wider than one half, so every
 float cell takes Python's path and the bytes are the same.
 
@@ -115,9 +118,9 @@ def _float_slots(values, words, sep):
     half = ((t - whole.astype(np.longdouble)) - 0.5).astype(np.float64)
     exact &= np.abs(half) > whole.astype(np.float64) * TIE_WINDOW
     digits = whole + (half > 0)
-    # X is estimated once: t misses [10^16, 10^17) where log10 came out one
-    # off next to a power of ten, and D = 10^17 is a carry.  Both go to Python.
-    exact &= (whole >= 10 ** 16) & (digits < 10 ** 17)
+    # X is estimated once: t falls below 10^16 where log10 came out one too
+    # high next to a power of ten, and the cell goes to Python.
+    exact &= whole >= 10 ** 16
     digits[~exact] = 10 ** 16
     exponent[~exact] = 0
 

@@ -13,12 +13,15 @@ The fast convolution takes one of two routes, fixed once per row by its
 length rn (:func:`transform_length`):
 
 - rn whose prime factors are all at most ``COMPLEX_MAX_PRIME`` (67): a
-  complex ``fft``/``ifft`` pair at length rn, checked for imaginary residue.
+  complex ``fft``/``ifft`` pair at length rn, keeping the real part.
 - any other rn: the real ``rfft``/``irfft`` pair zero-padded to L, the next
   5-smooth length at least 2 rn - 1, so the linear convolution fits and its
-  entries rn .. 2 rn - 2 fold back onto 0 .. rn - 2; checked by the sum
-  identity.  At rn = 200001 = 3 x 163 x 409 this skips pocketfft's
-  generic-radix passes, and at rn = 1000001 = 101 x 9901 Bluestein's.
+  entries rn .. 2 rn - 2 fold back onto 0 .. rn - 2.  At rn = 200001 =
+  3 x 163 x 409 this skips pocketfft's generic-radix passes, and at
+  rn = 1000001 = 101 x 9901 Bluestein's.
+
+Both routes multiply by one operator, the row's :class:`Spectrum`, and check
+each output row by one law, the sum identity.
 
 The padded route is faster at every length, smooth ones included, but it
 rounds differently.  Every length whose output bytes are pinned (3, 5, 21,
@@ -46,15 +49,11 @@ DENSE_GUARD = 4096
 # every command under ~0.5 GB.
 LENGTH_GUARD = 2 ** 22
 
-# Relative ceiling for the imaginary residue left by the fast convolution
-# of real inputs; anything above this means a bookkeeping bug.
-IMAG_RESIDUE_TOL = 1e-9
-
 # Largest prime factor of rn that keeps a convolution on the complex route.
 COMPLEX_MAX_PRIME = 67
 
 # Relative ceiling, against (sum |row|)(sum |v|), for the gap between
-# sum(w) and sum(row) sum(v) on the padded route; rounding leaves about
+# sum(w) and sum(row) sum(v) on either fast route; rounding leaves about
 # 1e-16 of that scale, a dropped fold or a wrong 1/L scale a large share.
 SUM_IDENTITY_TOL = 1e-12
 
@@ -180,12 +179,13 @@ def transform_length(rn):
 
 
 @dataclass(frozen=True)
-class PaddedSpectrum:
-    """The padded route's operator: ``rfft`` of the row zero-padded to
-    ``length`` (:func:`transform_length`), and the row's sum and absolute sum
-    for the sum-identity check."""
+class Spectrum:
+    """The fast routes' operator: the row's transform at ``length``
+    (:func:`transform_length`), ``fft(row)`` when that is rn and
+    ``rfft(row, length)`` otherwise, and the row's sum and absolute sum for
+    the sum-identity check."""
 
-    spectrum: np.ndarray
+    values: np.ndarray
     length: int
     row_sum: float
     row_abs_sum: float
@@ -193,76 +193,56 @@ class PaddedSpectrum:
 
 def convolution_operator(row, dense=False):
     """What :func:`convolve_rows` multiplies by to convolve with ``row``:
-    with ``dense`` its circulant matrix, else its FFT at length rn or a
-    :class:`PaddedSpectrum`, as :func:`transform_length` routes rn.
-    Computed once, it serves every block convolved with the same row."""
+    with ``dense`` its circulant matrix, else its :class:`Spectrum` at the
+    length :func:`transform_length` routes rn to.  Computed once, it serves
+    every block convolved with the same row."""
     if dense:
         return circulant_matrix(row)
     length = transform_length(row.size)
-    if length == row.size:
-        return np.fft.fft(row)
-    return PaddedSpectrum(np.fft.rfft(row, length), length, float(row.sum()),
-                          float(np.abs(row).sum()))
+    values = np.fft.fft(row) if length == row.size else np.fft.rfft(row, length)
+    return Spectrum(values, length, float(row.sum()), float(np.abs(row).sum()))
 
 
 def convolve_rows(operator, block):
     """Circular convolution of each row of a ``(rows, n)`` block with the row
     behind ``operator`` (see :func:`convolution_operator`).
 
-    Each fast route checks every row against that row's own scale, and the
-    first row that fails raises ``InternalConsistencyError`` naming it:
-
-    - the complex route transforms the block along ``axis=1`` and checks the
-      imaginary residue, ``max |Im w| <= IMAG_RESIDUE_TOL * max |Re w|``;
-    - the padded route's ``irfft`` is real, so it checks the sum identity
-      instead, ``|sum(w) - sum(row) sum(v)| <= SUM_IDENTITY_TOL *
-      sum(|row|) sum(|v|)``.  Rounding leaves a gap of at most about 5e-16
-      of that scale (spikes, alternating signs, wide dynamic range and the
-      model's rows, up to rn = 200001).
+    Both fast routes transform the block along ``axis=1`` and check every
+    row's sum identity against that row's own scale, ``|sum(w) - sum(row)
+    sum(v)| <= SUM_IDENTITY_TOL * sum(|row|) sum(|v|)``; the first row that
+    fails raises ``InternalConsistencyError`` naming it.  Rounding leaves a
+    gap of at most about 5e-16 of that scale (spikes, alternating signs,
+    wide dynamic range and the model's rows, up to rn = 200001).
 
     The dense route multiplies one row at a time, ``C @ v``, as the oracle
     always has.  Inputs are not validated.
     """
-    if isinstance(operator, PaddedSpectrum):
-        return _convolve_padded(operator, block)
-    if operator.ndim == 2:
+    if not isinstance(operator, Spectrum):
         return np.array([operator @ v for v in block])
-    w = np.fft.ifft(operator * np.fft.fft(block, axis=1), axis=1)
-    scale = np.abs(w.real).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    residue = np.abs(w.imag).max(axis=1)
-    failed = np.flatnonzero(residue > IMAG_RESIDUE_TOL * scale)
-    if failed.size:
-        k = failed[0]
-        raise InternalConsistencyError(
-            f"fast convolution of real inputs left imaginary residue {residue[k]:.3e} "
-            f"in row {k} (relative to output scale {scale[k]:.3e})"
-        )
-    return w.real
-
-
-def _convolve_padded(operator, block):
     rn, length = block.shape[1], operator.length
     # The sums come first, so their temporaries are freed before the
     # transform buffers exist.
     expected = operator.row_sum * block.sum(axis=1)
     scale = operator.row_abs_sum * np.abs(block).sum(axis=1)
-    # pocketfft allocates its plan and scratch on every call (numpy caches
-    # neither); `cli.main`'s allocator setting is what recycles them.
-    spectrum = np.fft.rfft(block, length, axis=1)
-    np.multiply(spectrum, operator.spectrum, out=spectrum)
-    linear = np.fft.irfft(spectrum, length, axis=1)
-    del spectrum
-    # The linear convolution's entries rn .. 2 rn - 2 wrap onto 0 .. rn - 2.
-    w = linear[:, :rn].copy()
-    w[:, :rn - 1] += linear[:, rn:2 * rn - 1]
+    if length == rn:
+        w = np.fft.ifft(operator.values * np.fft.fft(block, axis=1), axis=1).real
+    else:
+        # pocketfft allocates its plan and scratch on every call (numpy caches
+        # neither); `cli.main`'s allocator setting is what recycles them.
+        spectrum = np.fft.rfft(block, length, axis=1)
+        np.multiply(spectrum, operator.values, out=spectrum)
+        linear = np.fft.irfft(spectrum, length, axis=1)
+        del spectrum
+        # The linear convolution's entries rn .. 2 rn - 2 wrap onto 0 .. rn - 2.
+        w = linear[:, :rn].copy()
+        w[:, :rn - 1] += linear[:, rn:2 * rn - 1]
     sums = w.sum(axis=1)
     gap = np.abs(sums - expected)
     failed = np.flatnonzero(gap > SUM_IDENTITY_TOL * scale)
     if failed.size:
         k = failed[0]
         raise InternalConsistencyError(
-            f"padded convolution broke the sum identity in row {k}: sum {sums[k]:.17g}, "
+            f"fast convolution broke the sum identity in row {k}: sum {sums[k]:.17g}, "
             f"expected {expected[k]:.17g} (gap {gap[k]:.3e} against scale {scale[k]:.3e})"
         )
     return w

@@ -67,6 +67,31 @@ class TestFloatCells:
     def test_every_power_of_ten_and_its_neighbours(self):
         assert_floats_exact(powers_and_neighbours())
 
+    def test_no_power_of_ten_carries(self):
+        # A carry, D = 10**17, needs |x| within 5e-18 (relative) below 10**k
+        # with X estimated as k - 1; only the double nearest 10**k can be that
+        # close.  Where it is, log10 must give k, so that t lands below 10**16
+        # and the cell goes to Python; and log10 must never fall below the
+        # true X, which would put t at 10**17 or above.  numpy's log10 takes
+        # other code paths at other array lengths and positions.
+        ks = np.arange(-323, 309)
+        nearest = np.array([float("1e%d" % k) for k in ks])
+        values = np.concatenate([nearest, np.nextafter(nearest, np.inf)])
+        true_x = np.array([k - (Fraction(v) < Fraction(10) ** k)
+                           for k, v in zip(np.tile(ks, 2).tolist(), values.tolist())])
+        band = np.array([0 < 1 - Fraction(v) / Fraction(10) ** k < Fraction(5, 10**18)
+                         for k, v in zip(ks.tolist(), nearest.tolist())])
+        assert band.sum() == 14
+        for pad in range(9):
+            padded = np.concatenate([np.ones(pad), values])
+            estimate = np.floor(np.log10(padded))[pad:]
+            assert np.all(estimate >= true_x)
+            assert np.all(estimate[:len(ks)][band] == ks[band])
+            assert_floats_exact(padded)
+        for k, v in zip(ks[band], nearest[band]):
+            assert np.floor(np.log10(np.array([v]))) == k
+            assert_floats_exact([-v])
+
     def test_layout_boundaries(self):
         values = np.array(LAYOUT_BOUNDARIES)
         assert_floats_exact(np.concatenate([values, -values, np.nextafter(values, 0),
@@ -135,12 +160,16 @@ class TestIntegerCells:
 
 
 class TestRows:
+    # A text slot is the longest label plus at least one byte, rounded up to
+    # a whole word, so labels of 7 and 15 characters fill theirs.
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**63 - 1),
                               st.text(st.characters(min_codepoint=1, max_codepoint=127),
-                                      max_size=6),
+                                      max_size=17),
                               st.booleans()),
                     min_size=1, max_size=30))
+    @example([(0, 0, "seven77", False), (1, 1, "", True)])
+    @example([(0, 0, "fifteen15151515", True)])
     def test_mixed_columns_match_the_row_template(self, rows):
         bits, ints, texts, flags = zip(*rows)
         columns = [np.array(bits, dtype=np.uint64).view(np.float64), np.array(ints),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from longmem import dft
 from longmem.dft import (
     COMPLEX_MAX_PRIME,
-    PaddedSpectrum,
+    Spectrum,
     circulant_matrix,
     circular_convolve,
     convolution_operator,
@@ -175,19 +175,6 @@ class TestCircularConvolve:
         with pytest.raises(ValueError):
             circular_convolve([1.0, np.inf, 0.0], [1.0, 2.0, 3.0])
 
-    def test_residue_check_is_per_row(self):
-        # Row 2's imaginary residue is 1e-6 of its own scale: it fails against
-        # that scale, though it is far below the scale of row 0.
-        rng = np.random.default_rng(3)
-        row = rng.normal(size=7)
-        block = rng.normal(size=(4, 7)).astype(complex)
-        block[0] *= 1e6
-        clean = convolve_rows(convolution_operator(row), block.real)
-        np.testing.assert_array_equal(clean[1], circular_convolve(row, block[1].real))
-        block[2] += 1e-6j * rng.normal(size=7)
-        with pytest.raises(InternalConsistencyError, match="imaginary residue .* in row 2 "):
-            convolve_rows(convolution_operator(row), block)
-
     def test_output_is_real_float(self):
         out = circular_convolve([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
         assert out.dtype == np.float64
@@ -208,14 +195,14 @@ class TestRoute:
     @pytest.mark.parametrize("rn", [3, 5, 21, 41, 201, 999999])
     def test_pinned_lengths_take_the_complex_route(self, rn):
         assert transform_length(rn) == rn
-        assert not isinstance(convolution_operator(np.ones(rn)), PaddedSpectrum)
+        assert convolution_operator(np.ones(rn)).length == rn
 
     @pytest.mark.parametrize("rn, length", [(200001, 405000), (1000001, 2025000)])
     def test_large_prime_factors_take_the_padded_route(self, rn, length):
         assert transform_length(rn) == length
         operator = convolution_operator(np.ones(rn))
-        assert isinstance(operator, PaddedSpectrum)
-        assert (operator.length, operator.spectrum.size) == (length, length // 2 + 1)
+        assert isinstance(operator, Spectrum)
+        assert (operator.length, operator.values.size) == (length, length // 2 + 1)
 
     def test_route_reads_the_bound_at_call_time(self, monkeypatch):
         # 201 = 3 x 67: with the bound at 1 no length is smooth enough, so
@@ -234,41 +221,52 @@ class TestRoute:
 
 
 class TestSumIdentityCheck:
-    """The padded route's ``irfft`` is real, so it checks each row's sum
-    identity instead of an imaginary residue; these faults break it in rows
-    2 and 3 of a block whose row 0 is 1e6 times larger."""
+    """Both fast routes check each row's sum identity; these faults break it
+    in rows 2 and 3 of a block whose row 0 is 1e6 times larger.  63 = 3**2 x 7
+    takes the complex route, at L = rn, and the prime 71 the padded one."""
 
-    RN = 71
+    # Each fault, with the length whose route it breaks.
+    FAULTS = {"dropped fold": 71, "doubled 1/L scale": 71, "doubled 1/rn scale": 63}
 
-    def block(self):
+    def block(self, rn):
         rng = np.random.default_rng(4)
-        row = rng.normal(size=self.RN)
-        block = rng.normal(size=(4, self.RN))
+        row = rng.normal(size=rn)
+        block = rng.normal(size=(4, rn))
         block[0] *= 1e6
         return row, block
 
     def test_clean_rows_equal_single_row_convolutions(self):
-        row, block = self.block()
-        operator = convolution_operator(row)
-        assert isinstance(operator, PaddedSpectrum)
-        clean = convolve_rows(operator, block)
-        for k in range(len(block)):
-            np.testing.assert_array_equal(clean[k], circular_convolve(row, block[k]))
+        for rn, length in [(63, 63), (71, 144)]:
+            row, block = self.block(rn)
+            operator = convolution_operator(row)
+            assert operator.length == length
+            clean = convolve_rows(operator, block)
+            for k in range(len(block)):
+                np.testing.assert_array_equal(clean[k], circular_convolve(row, block[k]))
 
-    @pytest.mark.parametrize("fault", ["dropped fold", "doubled 1/L scale"])
+    @pytest.mark.parametrize("fault", FAULTS)
     def test_fault_names_first_failing_row(self, fault, monkeypatch):
-        row, block = self.block()
+        rn = self.FAULTS[fault]
+        row, block = self.block(rn)
         operator = convolution_operator(row)
-        irfft = np.fft.irfft
+        inverse = "ifft" if operator.length == rn else "irfft"
+        transform = getattr(np.fft, inverse)
 
-        def faulty(spectrum, n, axis):
-            linear = irfft(spectrum, n, axis=axis)
+        def faulty(spectrum, *args, axis):
+            out = transform(spectrum, *args, axis=axis)
             if fault == "dropped fold":
-                linear[2:, self.RN:] = 0.0
+                out[2:, rn:] = 0.0
             else:
-                linear[2:] /= n
-            return linear
+                out[2:] /= out.shape[1]
+            return out
 
-        monkeypatch.setattr(np.fft, "irfft", faulty)
+        monkeypatch.setattr(np.fft, inverse, faulty)
         with pytest.raises(InternalConsistencyError, match="sum identity in row 2:"):
             convolve_rows(operator, block)
+
+    def test_complex_input_names_first_failing_row(self):
+        row, block = self.block(63)
+        block = block.astype(complex)
+        block[2] += 1e-6j * np.random.default_rng(3).normal(size=63)
+        with pytest.raises(InternalConsistencyError, match="sum identity in row 2:"):
+            convolve_rows(convolution_operator(row), block)

@@ -1,10 +1,12 @@
-"""No module imports a name it does not use.
+"""No module imports a name it does not use, and no constant goes unread.
 
 No linter ships with the project's dependencies, so this parses each module
 of the package and the scripts with ``ast``.  An imported name must be read
 somewhere in its module, be listed in ``__all__``, or sit on a line marked
 ``# noqa: F401`` (a deliberate re-export).  ``__future__`` imports are
-exempt.
+exempt.  A module-level UPPER_CASE constant of the package must be read,
+as a name or an attribute, somewhere in the package or the scripts; reads
+in the tests do not count.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "longmem").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "longmem").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source):
@@ -47,3 +50,41 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_caught():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\n__all__ = ['tau']\n"
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def unread_constants(package, sources):
+    """``(module, line, name)`` of each module-level UPPER_CASE constant
+    assigned in ``package`` (a ``{module: source}`` dict) that no source in
+    ``sources`` reads, as a name or an attribute."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            unread += [(module, node.lineno, t.id) for t in targets
+                       if isinstance(t, ast.Name) and t.id.isupper() and t.id not in read]
+    return unread
+
+
+def test_every_constant_is_read():
+    package = {p.relative_to(ROOT).as_posix(): p.read_text() for p in PACKAGE}
+    assert unread_constants(package, [p.read_text() for p in MODULES]) == []
+
+
+def test_an_unread_constant_is_caught():
+    package = {"a.py": "LIMIT = 3\nSCALE: float = 2.0\nTOL = 1e-9\n_OFFSET = 4\n"
+                       "def f(x):\n    return x * SCALE\n"}
+    other = "import a\nprint(a._OFFSET)\na.LIMIT = 5\n"
+    assert unread_constants(package, [*package.values(), other]) == [
+        ("a.py", 1, "LIMIT"), ("a.py", 3, "TOL")]

@@ -9,7 +9,7 @@ import pytest
 from conftest import constant_rows
 
 import longmem.sampler as sampler
-from longmem.dft import PaddedSpectrum, circulant_matrix, convolution_operator
+from longmem.dft import circulant_matrix, convolution_operator, transform_length
 from longmem.errors import DegenerateSampleError
 from longmem.estimators import sample_stats
 from longmem.montecarlo import run_study
@@ -67,7 +67,7 @@ class TestReplicateSamples:
         # rn = 1019 is prime: the padded route, 6 rows per block at the
         # default budget, so 8 replicates span two blocks.
         model = build_model(2.2, 1018)
-        assert isinstance(convolution_operator(model.first_row), PaddedSpectrum)
+        assert convolution_operator(model.first_row).length == transform_length(model.rn) > model.rn
         blocks = list(replicate_blocks(model, 7, 8))
         assert [len(block.epsilon) for block in blocks] == [6, 2]
         for block in blocks:

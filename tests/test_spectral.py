@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from longmem import dft
 from longmem.dft import DENSE_GUARD, circulant_matrix
-from longmem.errors import ResourceLimitError
+from longmem.errors import ModelConstructionError, ResourceLimitError
 from longmem.montecarlo import run_study
 from longmem.spectral import build_grid, build_model, eigen_report
 
@@ -164,6 +164,16 @@ class TestBuildModel:
             np.abs(dense.eigenvalues - fast.eigenvalues).max()
             <= 1e-10 * fast.eigenvalues[0]
         )
+
+    # The eigenvalues come from a forward transform of the row, whose
+    # rounding swamps the smallest ones: these builds raise, with smallest
+    # eigenvalues -2.467e3, -24.4 and -207.9.  Taking the eigenvalues from
+    # the density instead would let them build and lift the marker.
+    @pytest.mark.xfail(strict=True, raises=ModelConstructionError,
+                       reason="the row's forward transform loses the small eigenvalues")
+    @pytest.mark.parametrize("beta, n", [(10, 5000), (8, 20000), (6, 10**6)])
+    def test_builds_where_the_round_trip_loses_positivity(self, beta, n):
+        assert np.all(build_model(beta, n).eigenvalues > 0)
 
     def test_beta_out_of_range_rejected(self):
         for bad in (-0.1, 10.5, math.nan):
