@@ -6,8 +6,9 @@ payload is the full parameter set as JSON.  CSV cells write floats with 17
 significant digits, and JSON (the metadata line included) with Python's
 shortest round-trip repr; either way parsing them back reproduces the
 in-memory values bit-for-bit, and a fixed seed makes reruns byte-identical.
-CSV chunks render on up to two threads and are written in row order, so the
-bytes do not depend on the thread count; JSON renders on the main thread.
+CSV chunks render on up to two threads and are written in row order, and a
+study measures its replicates on up to two processes, so the bytes depend on
+neither count; JSON renders on the main thread.
 
 Exit codes: 0 success, 2 malformed flags (argparse), 1 runtime error, 130
 interrupted (SIGINT).  Runtime errors, allocation failures included, and
@@ -36,7 +37,7 @@ from ._checks import real, whole
 from ._csv import rows_text
 from .errors import InsufficientDataError, LongmemError
 from .estimators import DEFAULT_BIN_COUNT, MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import MIN_REPLICATES, run_study
+from .montecarlo import MIN_REPLICATES, run_study, usable_cpus
 from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate, replicate_blocks
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_model, eigen_report, realized_length
 
@@ -143,7 +144,8 @@ def _metadata(cfg):
         "seed": cfg.seed,
         "replicates": cfg.replicates,
         "bins": cfg.bins,
-        # Replicates run on one worker; the key stays while bench/golden.json pins it.
+        # A placeholder that bench/golden.json pins: study's worker count
+        # (_workers()) depends on the host, and the bytes do not.
         "workers": 1,
         "dense_oracle": cfg.dense_oracle,
         "generator": GENERATOR,
@@ -214,7 +216,8 @@ def _cmd_hist(cfg):
 
 
 def _cmd_study(cfg):
-    report = run_study(cfg.beta, cfg.n, cfg.replicates, cfg.seed, dense=cfg.dense_oracle)
+    report = run_study(cfg.beta, cfg.n, cfg.replicates, cfg.seed, workers=_workers(),
+                       dense=cfg.dense_oracle)
     eigen = report.eigen
     columns = {
         "beta": [report.beta] * 3,
@@ -243,14 +246,10 @@ def _row_chunks(columns):
         yield [a[start:start + CSV_CHUNK_ROWS] for a in arrays]
 
 
-def _render_threads():
-    """Threads that render CSV chunks: two where this process may run on at
-    least two CPUs, else one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
+def _workers():
+    """Threads that render CSV chunks, and processes that measure a study's
+    replicates: two where this process may run on at least two CPUs, else one."""
+    return min(2, usable_cpus())
 
 
 def csv_chunks(columns):
@@ -258,14 +257,14 @@ def csv_chunks(columns):
     ``{name: array or list}`` dict of equal-length columns) as text, at most
     ``CSV_CHUNK_ROWS`` rows per chunk, in row order.
 
-    Chunks render on ``_render_threads()`` threads, numpy's loops releasing
+    Chunks render on ``_workers()`` threads, numpy's loops releasing
     the GIL, with at most ``threads + 1`` submitted ahead of the consumer;
     one thread, or one chunk, renders inline.  Closing the generator cancels
     the chunks not started and waits for the rest, and a chunk's exception
     is raised here unchanged."""
     yield ",".join(columns) + "\n"
     rows = len(next(iter(columns.values())))
-    threads = min(_render_threads(), -(-rows // CSV_CHUNK_ROWS))
+    threads = min(_workers(), -(-rows // CSV_CHUNK_ROWS))
     if threads < 2:
         yield from map(rows_text, _row_chunks(columns))
         return
@@ -338,7 +337,7 @@ def render(cfg):
     The new file takes the mode ``open(path, "w")`` gives a new file, and a
     symlink at the path is replaced, not followed.  Rows are formatted and
     written ``CSV_CHUNK_ROWS`` at a time, in row order: CSV chunks on
-    ``_render_threads()`` threads, at most ``threads + 1`` of them ahead of
+    ``_workers()`` threads, at most ``threads + 1`` of them ahead of
     the write, and JSON on this thread.  Every write goes through ``_emit``
     on this thread, and no render thread outlives the call, whether it
     returns or raises.  An undefined (non-finite) summary value is written

@@ -8,23 +8,41 @@ reduces each block straight to its statistics; ``hist`` and the shape
 gallery bin each block's standardized rows in one pass and add the counts
 block by block.  So a report or a histogram is a pure function of
 ``(beta, n, replicates, seed)``.
+
+``run_study(..., workers=k)`` may split the replicates into contiguous
+shards of whole blocks, one per process, where each shard is large enough
+to repay its fork.  The first shard runs in the calling process and each
+other in an ``os.fork`` child, which shares the built model copy-on-write
+and sends back through a pipe only its ``(rows, 3)`` measurements, or the
+exception that stopped it.  The report is the one a single process
+computes, bit for bit, at any worker count.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import whole
+from .errors import InternalConsistencyError
 # generate and sample_stats, the one-replicate forms of the engine's stages,
 # stay importable here: bench/tracer.py wraps them by name.
 from .estimators import row_stats, sample_stats  # noqa: F401
-from .sampler import generate, replicate_blocks  # noqa: F401
+from .sampler import block_rows, generate, replicate_blocks  # noqa: F401
 from .spectral import EigenReport, build_model, eigen_report
 
 MIN_REPLICATES = 2
 MIN_WORKERS = 1
+
+# Engine blocks a process must measure to repay its fork.  The fork, the
+# copy-on-write faults in both processes and the caller's slower exit cost
+# the command line about 20 ms; at n = 200 a study split in two lost at
+# 1000 replicates (33 blocks, wall 1.095 of one process) and gained from
+# 2000 (65 blocks, 0.945) on a 2-core Xeon.
+MIN_SHARD_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -49,6 +67,14 @@ class MonteCarloReport:
     cv_var: float
 
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_study(beta, n, replicates, seed, workers=1, dense=False):
     """Run a replicated study of the model at one (beta, n).
 
@@ -60,10 +86,15 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     seed : int
         Study seed; replicate ``i`` uses stream ``(seed, i)``.
     workers : int
-        Worker count, at least 1; validated only, since replicates run
-        serially (a thread pool was slower than one thread).  Its one
-        caller is ``bench/probe.py``, and both go with the benchmark's
-        next revision.
+        Processes to measure the replicates on, at least 1.  The replicates
+        split into up to ``min(workers, usable_cpus())`` contiguous shards
+        of whole engine blocks, each of at least ``MIN_SHARD_BLOCKS``
+        blocks; the first runs in this process and each other in a forked
+        child, so ``os.fork`` is needed above one.  Blocks of one replicate
+        (``sampler.block_rows(rn) == 1``) are never split: there the BLAS
+        threads of the row norms already take the second CPU.  The report
+        does not depend on ``workers``.  A caller whose own threads may
+        hold locks across the fork should pass 1.
     dense : bool
         Build the model on the dense route, which its transforms, convolutions
         and ``eigen`` summary follow; ``eigen`` is the ``eigen`` command's
@@ -77,25 +108,40 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     ------
     DegenerateSampleError
         If any replicate's noise is constant; the message names the
-        offending stream index and the study aborts.
+        offending stream index and the study aborts.  With several failing
+        replicates, the first in stream order is named, on any worker count.
+    InternalConsistencyError
+        If a child process ends without sending its measurements; the
+        message names its replicates.
     """
     replicates = whole(replicates, "replicates", MIN_REPLICATES)
-    whole(workers, "workers", MIN_WORKERS)
+    workers = whole(workers, "workers", MIN_WORKERS)
 
     model = build_model(beta, n, dense=dense)
     eigen = eigen_report(model)
-    blocks = replicate_blocks(model, seed, replicates)
+    shards = _shards(replicates, block_rows(model.rn), min(workers, usable_cpus()))
     # A replicate reads only what the engine holds, the operator and the
-    # row's norm: the model goes here, and each block before the next is drawn.
+    # row's norm.  Each process builds its own engine and then drops the
+    # model, which a forked child takes out of its own copy of this list.
+    # This process's engine comes first, so the children inherit the
+    # engine's first-use imports instead of each paying them again.
+    held = [model]
     del model
+    stop = shards[0][1]
+    blocks = replicate_blocks(held[0], seed, stop)
 
     measured = np.empty((replicates, 3))
-    for block in blocks:
-        stats = row_stats(block.series)
-        measured[block.start:block.start + len(block.series)] = np.column_stack(
-            (stats.d_meas, stats.alpha_meas, stats.variance)
-        )
-        del block
+    children = []
+    try:
+        for shard in shards[1:]:
+            children.append(_Child(held, seed, *shard))
+        held.pop()
+        _measure(blocks, 0, measured[:stop])
+        for child in children:
+            child.receive(measured[child.start:child.stop])
+    finally:
+        for child in children:
+            child.kill()
 
     means = measured.mean(axis=0)
     sds = measured.std(axis=0, ddof=1)
@@ -113,3 +159,99 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         cv_alpha=float(cvs[1]),
         cv_var=float(cvs[2]),
     )
+
+
+def _shards(replicates, rows, workers):
+    """``(start, stop)`` of the contiguous shards of whole ``rows``-replicate
+    blocks that ``replicates`` split into on up to ``workers`` processes:
+    as many as hold ``MIN_SHARD_BLOCKS`` blocks each, and one where a block
+    holds one replicate.  Each has ``ceil(blocks / count)`` blocks but the
+    last, which may be shorter."""
+    blocks = -(-replicates // rows)
+    count = max(1, min(workers, blocks // MIN_SHARD_BLOCKS)) if rows > 1 else 1
+    size = -(-blocks // count) * rows
+    return [(start, min(start + size, replicates)) for start in range(0, replicates, size)]
+
+
+def _measure(blocks, start, out):
+    """Fill ``out`` with the ``(d_meas, alpha_meas, variance)`` rows of the
+    replicates from ``start`` on, from their engine blocks, each dropped
+    before the next is drawn."""
+    for block in blocks:
+        stats = row_stats(block.series)
+        first = block.start - start
+        out[first:first + len(block.series)] = np.column_stack(
+            (stats.d_meas, stats.alpha_meas, stats.variance)
+        )
+        del block
+
+
+class _Child:
+    """A forked process that measures replicates ``start .. stop - 1`` and
+    writes to a pipe ``b"m"`` and their float64 rows, or ``b"e"`` and the
+    exception that stopped it, pickled.
+
+    The child never returns into its caller's frames: it ends with
+    ``os._exit``, so no ``finally`` block, ``atexit`` hook, open file or
+    stdio buffer of the parent runs or flushes in it.  The parent reaps it
+    once, in :meth:`receive` or :meth:`kill`."""
+
+    def __init__(self, held, seed, start, stop):
+        self.start, self.stop = start, stop
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                measured = np.empty((stop - start, 3))
+                try:
+                    _measure(replicate_blocks(held.pop(), seed, stop, start), start, measured)
+                    sent = (b"m", measured)
+                except Exception as exc:  # raised again by the parent
+                    sent = (b"e", pickle.dumps(exc))
+                with open(write_fd, "wb") as pipe:
+                    pipe.writelines(sent)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def receive(self, out):
+        """Read the child's measurements into ``out`` and reap it.  Its
+        exception is raised here, and a child that ended without sending
+        raises ``InternalConsistencyError`` naming its replicates."""
+        with self.pipe:
+            kind = self.pipe.read(1)
+            if kind == b"m":
+                self.pipe.readinto(out)
+            else:
+                error = self.pipe.read()
+        code = self._reap()
+        if code != 0:
+            ended = f"by signal {-code}" if code < 0 else f"with exit status {code}"
+            raise InternalConsistencyError(
+                f"the process measuring replicates {self.start} .. {self.stop - 1} "
+                f"ended {ended} without sending them"
+            )
+        if kind != b"m":
+            raise pickle.loads(error)
+
+    def kill(self):
+        """Kill and reap the child unless it has been reaped already."""
+        self.pipe.close()
+        if self.pid:
+            import signal  # only here: the import costs every command ~1 ms
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self):
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)

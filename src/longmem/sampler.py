@@ -167,15 +167,21 @@ class SeriesBlock:
         )
 
 
-def replicate_blocks(model, seed, replicates):
-    """Iterate over replicates ``0 .. replicates - 1`` of ``seed`` in consecutive
-    blocks (:class:`SeriesBlock`) of ``max(1, CHUNK_BYTES // (16 * rn))``
-    rows, the last one possibly shorter; replicate ``i`` equals
-    ``generate(model, RngStream(seed, i))`` bit for bit.
+def block_rows(rn):
+    """Replicates in one block of :func:`replicate_blocks` at length ``rn``:
+    as many ``16 * rn``-byte rows as fit in ``CHUNK_BYTES``, and at least one."""
+    return max(1, CHUNK_BYTES // (16 * rn))
+
+
+def replicate_blocks(model, seed, replicates, first=0):
+    """Iterate over replicates ``first .. replicates - 1`` of ``seed`` in
+    consecutive blocks (:class:`SeriesBlock`) of ``block_rows(rn)`` rows, the
+    last one possibly shorter; replicate ``i`` equals ``generate(model,
+    RngStream(seed, i))`` bit for bit, and no stream before ``first`` is drawn.
 
     The convolution operator (:func:`~longmem.dft.convolution_operator`,
     which fixes the route) and the row's norm are computed once per call,
-    after ``seed`` and ``replicates`` are checked.  A block holds no
+    after ``seed``, ``replicates`` and ``first`` are checked.  A block holds no
     reference to the one before, so once its consumer drops it only one
     block is alive.
 
@@ -187,13 +193,14 @@ def replicate_blocks(model, seed, replicates):
     """
     seed = whole(seed, "seed", limit=SEED_LIMIT)
     replicates = whole(replicates, "replicates")
+    first = whole(first, "first")
     rn = model.rn
     operator = convolution_operator(model.first_row, model.dense)
     row_norm = np.linalg.norm(model.first_row)
     keyer = _StreamKeyer(seed)
-    rows = max(1, CHUNK_BYTES // (16 * rn))
+    rows = block_rows(rn)
     return (_draw_block(operator, row_norm, keyer, rn, start, min(start + rows, replicates))
-            for start in range(0, replicates, rows))
+            for start in range(first, replicates, rows))
 
 
 def _draw_block(operator, row_norm, keyer, rn, start, stop):

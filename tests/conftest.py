@@ -4,6 +4,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -13,6 +15,39 @@ def child_env(**extra):
     must import the ``longmem`` under test."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process of this one unreaped, running
+    or a zombie."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")
+
+
+def counted_forks(monkeypatch, cpus):
+    """Have ``run_study`` see ``cpus`` usable CPUs and give a process a shard
+    of one block or more, so that it splits small studies on any host, and
+    return the list that each ``os.fork`` in this process appends its
+    child's pid to."""
+    from longmem import montecarlo
+
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", 1)
+    fork, pids = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 def constant_rows(draw, failing):

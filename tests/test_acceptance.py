@@ -13,6 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from conftest import counted_forks
 
 from longmem.dft import circulant_matrix, circular_convolve, unitary_dft
 from longmem.estimators import accumulate_histogram, fit_alpha_from_histogram, sample_stats
@@ -177,7 +178,7 @@ def test_c7_oracle_equivalence():
     )
 
 
-def test_c8_property_suite():
+def test_c8_property_suite(monkeypatch):
     rng = np.random.default_rng(42)
     ok = True
 
@@ -222,11 +223,13 @@ def test_c8_property_suite():
     hist = accumulate_histogram(vectors, bin_count=37)
     ok &= abs(float(np.sum(hist.densities * np.diff(hist.edges))) - 1.0) <= 1e-9
 
-    # full-run determinism under fixed seeds, including workers > 1
-    a = run_study(2.2, 40, replicates=30, seed=SEED, workers=1)
-    b = run_study(2.2, 40, replicates=30, seed=SEED, workers=3)
-    c = run_study(2.2, 40, replicates=30, seed=SEED, workers=1)
-    ok &= asdict(a) == asdict(b) == asdict(c)
+    # full-run determinism under fixed seeds, including workers > 1: 200
+    # replicates at rn = 201 are 7 blocks, split 3 + 3 + 1 over 3 processes
+    forks = counted_forks(monkeypatch, cpus=3)
+    a = run_study(2.2, 200, replicates=200, seed=SEED, workers=1)
+    b = run_study(2.2, 200, replicates=200, seed=SEED, workers=3)
+    c = run_study(2.2, 200, replicates=200, seed=SEED, workers=1)
+    ok &= asdict(a) == asdict(b) == asdict(c) and len(forks) == 2
 
     check("C8 property-suite", bool(ok), "parseval/popoviciu/invariance/monotone/mass/determinism")
 

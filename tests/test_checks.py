@@ -46,6 +46,7 @@ INTEGER_PARAMETERS = [
                  np.uint64(SEED_LIMIT - 1), id="replicate_blocks.seed"),
     pytest.param("replicates", lambda v: replicate_blocks(MODEL, 5, v), [-1], np.int64(2),
                  id="replicate_blocks.replicates"),
+    ("first", lambda v: replicate_blocks(MODEL, 5, 2, first=v), [-1], np.int64(1)),
 ]
 
 

@@ -611,7 +611,7 @@ class TestStreamedOutput:
         written = set()
         for chunk_rows, threads in [(10**6, 1), *itertools.product((1, 7), (1, 2, 3))]:
             monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
-            monkeypatch.setattr(cli, "_render_threads", lambda threads=threads: threads)
+            monkeypatch.setattr(cli, "_workers", lambda threads=threads: threads)
             target = tmp_path / f"chunk{chunk_rows}-{threads}.csv"
             assert cli.main([*args, "--output", str(target)]) == 0
             written.add(target.read_bytes())
@@ -621,7 +621,7 @@ class TestStreamedOutput:
     def test_render_window_is_bounded(self, threads, tmp_path, monkeypatch):
         # A slow writer: unbounded submission would run far ahead of it.
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
-        monkeypatch.setattr(cli, "_render_threads", lambda: threads)
+        monkeypatch.setattr(cli, "_workers", lambda: threads)
         lock = threading.Lock()
         emitted, started, ahead, renderers = [], [], [], set()
         render, emit = cli.rows_text, cli._emit
@@ -651,7 +651,7 @@ class TestStreamedOutput:
 
     def test_render_failure_stops_threads_before_the_error_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
-        monkeypatch.setattr(cli, "_render_threads", lambda: 2)
+        monkeypatch.setattr(cli, "_workers", lambda: 2)
         render, calls = cli.rows_text, itertools.count()
 
         def failing(chunk):
@@ -676,7 +676,7 @@ class TestStreamedOutput:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_stops_threads_before_the_error_line(self, monkeypatch):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
-        monkeypatch.setattr(cli, "_render_threads", lambda: 2)
+        monkeypatch.setattr(cli, "_workers", lambda: 2)
         before = threading.active_count()
         err = _stderr_noting_threads(monkeypatch)
         assert cli.main(["generate", "--beta", "2.2", "--n", "20000", "--output", "/dev/full"]) == 1
@@ -807,6 +807,107 @@ class TestStreamedOutput:
         assert json.loads(lines[0])["error"]["type"] == "KeyboardInterrupt"
         assert target.read_bytes() == b"earlier output\n"
         assert os.listdir(tmp_path) == ["kept.csv"]
+
+
+# Runs the command line as if this host had two usable CPUs, so that study
+# splits its replicates over two processes on any host.
+TWO_CPUS = """import sys
+from longmem import cli, montecarlo
+cli.usable_cpus = montecarlo.usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))"""
+
+# Runs the command line with an os.fork that fails.
+NO_FORK = """import os, sys
+def fork():
+    raise AssertionError("os.fork called")
+os.fork = fork
+from longmem import cli
+sys.exit(cli.main(sys.argv[1:]))"""
+
+
+def group_alive(pgid):
+    """True while process group ``pgid`` has a member, a zombie included."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def group_members(pgid):
+    """Pids of the processes in group ``pgid``, read from /proc."""
+    members = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue
+        # pid (comm) state ppid pgrp ...; comm may hold spaces and parentheses.
+        if int(stat.rpartition(")")[2].split()[2]) == pgid:
+            members.append(int(entry))
+    return members
+
+
+class TestProcesses:
+    """No command leaves a process behind: study's forked workers are reaped
+    on success and on interrupt.  Each command runs in a new session, so its
+    process group's id is its pid."""
+
+    @pytest.mark.parametrize("args", [
+        ("generate", "--beta", "2.2", "--n", "200"),
+        ("spectrum", "--beta", "2.2", "--n", "200"),
+        ("eigen", "--beta", "2.2", "--n", "200"),
+        ("hist", "--beta", "2.2", "--n", "200", "--replicates", "100"),
+        # 65 blocks, split over two processes
+        ("study", "--beta", "2.2", "--n", "200", "--replicates", "2000"),
+    ], ids=lambda args: args[0])
+    def test_command_leaves_its_process_group_empty(self, args):
+        with subprocess.Popen([sys.executable, "-c", TWO_CPUS, *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=child_env(),
+                              start_new_session=True) as child:
+            out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert not group_alive(child.pid)
+        assert out == run_cli(*args).stdout.encode()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="finds the worker through /proc")
+    @pytest.mark.parametrize("target", ["command", "group"])
+    def test_interrupted_study_leaves_no_worker(self, target):
+        # SIGINT to the command, or to its whole group as a terminal's ^C
+        # sends it, once the worker is forked.
+        args = ["study", "--beta", "2.2", "--n", "200", "--replicates", "100000"]
+        with subprocess.Popen([sys.executable, "-c", TWO_CPUS, *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=child_env(),
+                              start_new_session=True) as child:
+            deadline = time.monotonic() + 60
+            while len(group_members(child.pid)) < 2:
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+            if target == "command":
+                child.send_signal(signal.SIGINT)
+            else:
+                os.killpg(child.pid, signal.SIGINT)
+            out, err = child.communicate(timeout=60)
+        assert child.returncode == 130
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "KeyboardInterrupt"
+        assert not group_alive(child.pid)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two CPUs")
+    def test_one_cpu_study_does_not_fork_with_the_same_bytes(self):
+        # 2000 replicates at rn = 201: 65 blocks, split over two processes
+        # on two CPUs.  One BLAS thread in both runs, as in
+        # test_one_cpu_renders_inline_with_the_same_bytes.
+        args = ["study", "--beta", "2.2", "--n", "200", "--replicates", "2000"]
+        blas = {"OPENBLAS_NUM_THREADS": "1"}
+        cpu = min(os.sched_getaffinity(0))
+        one = subprocess.run([sys.executable, "-c", NO_FORK, *args], capture_output=True,
+                             env=child_env(**blas), preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        assert one.returncode == 0, one.stderr
+        assert one.stdout == run_cli(*args, env_extra=blas).stdout.encode()
 
 
 class TestCellKinds:

@@ -2,15 +2,20 @@
 agreement between measured and eigenvalue-predicted statistics."""
 
 import math
+import os
+import signal
+import time
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import constant_rows
+from conftest import constant_rows, counted_forks
 
+import longmem.montecarlo as montecarlo
 import longmem.sampler as sampler
 from longmem.dft import circulant_matrix, convolution_operator, transform_length
-from longmem.errors import DegenerateSampleError
+from longmem.errors import DegenerateSampleError, InternalConsistencyError
 from longmem.estimators import sample_stats
 from longmem.montecarlo import run_study
 from longmem.sampler import RngStream, generate, replicate_blocks
@@ -30,10 +35,74 @@ class TestDeterminism:
         b = run_study(2.2, 40, replicates=40, seed=5)
         assert _report_floats(a) == _report_floats(b)
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_study(2.2, 40, replicates=40, seed=5, workers=1)
-        threaded = run_study(2.2, 40, replicates=40, seed=5, workers=4)
-        assert _report_floats(serial) == _report_floats(threaded)
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # 200 replicates at rn = 201 are 7 blocks of up to 31 rows: 2, 3 and
+        # 4 workers split them into shards of 4 + 3, 3 + 3 + 1 and
+        # 2 + 2 + 2 + 1 blocks, one per process.
+        forks = counted_forks(monkeypatch, cpus=4)
+        serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=1))
+        assert forks == []
+        for workers in (2, 3, 4):
+            del forks[:]
+            split = run_study(2.2, 200, replicates=200, seed=5, workers=workers)
+            assert _report_floats(split) == serial
+            assert len(forks) == workers - 1
+
+    # 500 replicates at rn = 41 on the dense route are 4 blocks of up to 152
+    # rows; 40 at rn = 1019 on the padded route are 7 blocks of up to 6.
+    @pytest.mark.parametrize("n, replicates, dense, forks_by_workers", [
+        (40, 500, True, {2: 1, 3: 1, 4: 3}),
+        (1018, 40, False, {2: 1, 3: 2, 4: 3}),
+    ], ids=["dense", "padded"])
+    def test_split_routes_match_one_process(self, n, replicates, dense, forks_by_workers,
+                                            monkeypatch):
+        forks = counted_forks(monkeypatch, cpus=4)
+        serial = _report_floats(run_study(2.2, n, replicates, seed=5, dense=dense))
+        for workers, count in forks_by_workers.items():
+            del forks[:]
+            split = run_study(2.2, n, replicates, seed=5, workers=workers, dense=dense)
+            assert _report_floats(split) == serial
+            assert len(forks) == count
+
+    def test_shards_repay_their_fork(self):
+        # 500 replicates in blocks of 31 are 17 blocks, too few for two
+        # shards of MIN_SHARD_BLOCKS = 32; 2000 are 65, enough for two.
+        assert montecarlo._shards(500, 31, 2) == [(0, 500)]
+        assert montecarlo._shards(2000, 31, 4) == [(0, 33 * 31), (33 * 31, 2000)]
+        # Blocks of one replicate are never split.
+        assert montecarlo._shards(4000, 1, 2) == [(0, 4000)]
+
+    def test_shards_are_whole_blocks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", 1)
+        # 200 replicates in blocks of 31: 7 blocks, the last of 14.
+        assert montecarlo._shards(200, 31, 1) == [(0, 200)]
+        assert montecarlo._shards(200, 31, 3) == [(0, 93), (93, 186), (186, 200)]
+        assert montecarlo._shards(200, 31, 4) == [(0, 62), (62, 124), (124, 186), (186, 200)]
+        # 4 blocks on 3 workers: shards of 2 blocks, so only two of them.
+        assert montecarlo._shards(100, 31, 3) == [(0, 62), (62, 100)]
+        assert montecarlo._shards(30, 31, 4) == [(0, 30)]
+
+    @pytest.mark.parametrize("cpus, chunk_bytes", [
+        (1, sampler.CHUNK_BYTES),  # one usable CPU
+        (4, 2 * 16 * 201 - 1),     # blocks of one replicate
+    ], ids=["one-cpu", "one-replicate-blocks"])
+    def test_runs_in_this_process(self, cpus, chunk_bytes, monkeypatch):
+        serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", chunk_bytes)
+        forks = counted_forks(monkeypatch, cpus=cpus)
+        assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=4)) == serial
+        assert forks == []
+
+    def test_default_threshold_splits_only_large_studies(self, monkeypatch):
+        # At n = 200, 500 replicates stay in this process and 2000 split in two.
+        threshold = montecarlo.MIN_SHARD_BLOCKS
+        forks = counted_forks(monkeypatch, cpus=4)
+        monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", threshold)
+        run_study(2.2, 200, replicates=500, seed=5, workers=4)
+        assert forks == []
+        serial = _report_floats(run_study(2.2, 200, replicates=2000, seed=5))
+        assert _report_floats(run_study(2.2, 200, replicates=2000, seed=5, workers=4)) == serial
+        assert len(forks) == 1
 
     def test_seeds_change_results(self):
         a = run_study(2.2, 40, replicates=40, seed=5)
@@ -62,6 +131,22 @@ class TestReplicateSamples:
             assert (sample.seed, sample.stream_index) == (seed, i)
             for field in ("epsilon", "series", "standardized"):
                 assert np.array_equal(getattr(sample, field), getattr(expected, field))
+
+    def test_first_replicate_skips_the_earlier_streams(self, monkeypatch):
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", 16 * 21 * 2)  # two rows per block
+        model = build_model(2.2, 20)
+        everything = np.vstack([block.series for block in replicate_blocks(model, 7, 9)])
+        draw, drawn = sampler._draw_noise, []
+
+        def recorded(keyer, start, stop, rn):
+            drawn.append((start, stop))
+            return draw(keyer, start, stop, rn)
+
+        monkeypatch.setattr(sampler, "_draw_noise", recorded)
+        blocks = list(replicate_blocks(model, 7, 9, first=4))
+        assert drawn == [(4, 6), (6, 8), (8, 9)]
+        assert [block.start for block in blocks] == [4, 6, 8]
+        assert np.array_equal(np.vstack([block.series for block in blocks]), everything[4:])
 
     def test_padded_route_row_is_generate(self):
         # rn = 1019 is prime: the padded route, 6 rows per block at the
@@ -343,3 +428,107 @@ class TestValidation:
             with pytest.raises(DegenerateSampleError, match="^replicate stream_index=5: constant"):
                 run_study(beta, n, replicates=9, seed=5, dense=dense)
 
+
+def childless():
+    """True when this process has no child, running or a zombie."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestSplitStudy:
+    """A study split over processes fails as one process does, naming the
+    first failing replicate in stream order, and no child outlives the call.
+    200 replicates at rn = 201 are the shards 0 .. 123 and 124 .. 199 on 2
+    workers, and 0 .. 92, 93 .. 185 and 186 .. 199 on 3."""
+
+    @pytest.mark.parametrize("failing, workers, named", [
+        ({150}, 2, 150),       # in shard 1 only
+        ({30, 150}, 2, 30),    # in shards 0 and 1: shard 0's
+        ({100, 190}, 3, 100),  # in shards 1 and 2: shard 1's
+    ])
+    def test_first_failing_replicate_is_named(self, failing, workers, named, monkeypatch):
+        monkeypatch.setattr(sampler, "_draw_noise", constant_rows(sampler._draw_noise, failing))
+        with pytest.raises(DegenerateSampleError) as serial:
+            run_study(2.2, 200, replicates=200, seed=5, workers=1)
+        assert str(serial.value).startswith(f"replicate stream_index={named}: constant")
+        forks = counted_forks(monkeypatch, cpus=4)
+        with pytest.raises(DegenerateSampleError) as split:
+            run_study(2.2, 200, replicates=200, seed=5, workers=workers)
+        assert str(split.value) == str(serial.value)
+        assert len(forks) == workers - 1
+        assert childless()
+
+    def test_killed_child_names_its_replicates(self, monkeypatch):
+        parent, draw = os.getpid(), sampler._draw_noise
+
+        def dying(keyer, start, stop, rn):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return draw(keyer, start, stop, rn)
+
+        monkeypatch.setattr(sampler, "_draw_noise", dying)
+        forks = counted_forks(monkeypatch, cpus=4)
+        with pytest.raises(InternalConsistencyError, match=(
+                r"^the process measuring replicates 124 \.\. 199 ended by signal 9 "
+                r"without sending them$")):
+            run_study(2.2, 200, replicates=200, seed=5, workers=2)
+        assert len(forks) == 1
+        assert childless()
+
+    def test_interrupt_kills_the_children(self, monkeypatch):
+        # The children would sleep for a minute; the interrupted caller kills
+        # them instead of waiting.
+        parent, draw = os.getpid(), sampler._draw_noise
+
+        def drawn(keyer, start, stop, rn):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif start > 0:
+                raise KeyboardInterrupt
+            return draw(keyer, start, stop, rn)
+
+        monkeypatch.setattr(sampler, "_draw_noise", drawn)
+        forks = counted_forks(monkeypatch, cpus=4)
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_study(2.2, 200, replicates=200, seed=5, workers=3)
+        assert time.monotonic() - began < 30
+        assert len(forks) == 2
+        assert childless()
+
+    def test_children_run_nothing_of_the_caller(self, tmp_path, monkeypatch):
+        # A child that returned into the caller's frames would run this
+        # finally block and flush a second copy of the buffered line.
+        forks = counted_forks(monkeypatch, cpus=4)
+        log = tmp_path / "log"
+        with open(log, "w", encoding="utf-8") as out:
+            out.write("buffered before the study\n")
+            try:
+                run_study(2.2, 200, replicates=200, seed=5, workers=4)
+            finally:
+                out.write("finally\n")
+        assert log.read_text(encoding="utf-8") == "buffered before the study\nfinally\n"
+        assert len(forks) == 3
+
+    def test_model_freed_before_each_process_draws(self, monkeypatch):
+        # An assertion failing in a child is sent back and raised here.
+        build, draw, refs = montecarlo.build_model, sampler._draw_noise, []
+
+        def tracked(*args, **kwargs):
+            model = build(*args, **kwargs)
+            refs.extend(weakref.ref(a) for a in (model.density, model.first_row,
+                                                 model.eigenvalues, model.grid.frequencies))
+            return model
+
+        def checked(keyer, start, stop, rn):
+            assert all(ref() is None for ref in refs), f"model alive at replicate {start}"
+            return draw(keyer, start, stop, rn)
+
+        monkeypatch.setattr(montecarlo, "build_model", tracked)
+        monkeypatch.setattr(sampler, "_draw_noise", checked)
+        forks = counted_forks(monkeypatch, cpus=4)
+        run_study(2.2, 200, replicates=200, seed=5, workers=3)
+        assert len(refs) == 4 and len(forks) == 2

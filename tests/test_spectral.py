@@ -1,5 +1,6 @@
 """Grid, model, and eigenvalue-report tests against closed-form oracles."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmem import dft
+from longmem import cli, dft, spectral
 from longmem.dft import DENSE_GUARD, circulant_matrix
 from longmem.errors import ModelConstructionError, ResourceLimitError
 from longmem.montecarlo import run_study
@@ -174,6 +175,32 @@ class TestBuildModel:
     @pytest.mark.parametrize("beta, n", [(10, 5000), (8, 20000), (6, 10**6)])
     def test_builds_where_the_round_trip_loses_positivity(self, beta, n):
         assert np.all(build_model(beta, n).eigenvalues > 0)
+
+    def test_imaginary_residue_is_refused(self, monkeypatch, capsys):
+        # The row is a real palindrome, so its forward spectrum is real to
+        # rounding.  A transform that leaves an imaginary part of 1e-6 times
+        # each real part, above EIGEN_IMAG_TOL = 1e-8 of the largest, is refused.
+        lam = float(build_model(2.2, 20).eigenvalues[0])
+        transform = spectral.unitary_dft
+
+        def skewed(x, direction="forward", dense=False):
+            out = transform(x, direction, dense=dense)
+            return out.real * (1 + 1e-6j) if direction == "forward" else out
+
+        monkeypatch.setattr(spectral, "unitary_dft", skewed)
+        message = (f"spectrum of the symmetric row has imaginary residue {1e-6 * lam:.3e} "
+                   f"against leading eigenvalue {lam:.3e}")
+        assert 1e-6 > spectral.EIGEN_IMAG_TOL
+        for dense in (False, True):
+            with pytest.raises(ModelConstructionError) as raised:
+                build_model(2.2, 20, dense=dense)
+            assert str(raised.value) == message
+        assert cli.main(["spectrum", "--beta", "2.2", "--n", "20"]) == 1
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": {"type": "ModelConstructionError",
+                                                  "message": message}}
 
     def test_beta_out_of_range_rejected(self):
         for bad in (-0.1, 10.5, math.nan):
