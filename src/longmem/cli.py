@@ -37,7 +37,7 @@ from ._checks import real, whole
 from ._csv import rows_text
 from .errors import InsufficientDataError, LongmemError
 from .estimators import DEFAULT_BIN_COUNT, MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import MIN_REPLICATES, run_study, usable_cpus
+from .montecarlo import MIN_REPLICATES, run_study
 from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate, replicate_blocks
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_model, eigen_report, realized_length
 
@@ -248,8 +248,13 @@ def _row_chunks(columns):
 
 def _workers():
     """Threads that render CSV chunks, and processes that measure a study's
-    replicates: two where this process may run on at least two CPUs, else one."""
-    return min(2, usable_cpus())
+    replicates: two where this process may run on at least two CPUs (its
+    affinity mask, else ``os.cpu_count()``), else one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
 
 
 def csv_chunks(columns):

@@ -9,19 +9,20 @@ gallery bin each block's standardized rows in one pass and add the counts
 block by block.  So a report or a histogram is a pure function of
 ``(beta, n, replicates, seed)``.
 
-``run_study(..., workers=k)`` may split the replicates into contiguous
-shards of whole blocks, one per process, where each shard is large enough
-to repay its fork.  The first shard runs in the calling process and each
-other in an ``os.fork`` child, which shares the built model copy-on-write
-and sends back through a pipe only its ``(rows, 3)`` measurements, or the
-exception that stopped it.  The report is the one a single process
-computes, bit for bit, at any worker count.
+``run_study(..., workers=k)`` may split the replicates into up to ``k``
+contiguous shards of whole blocks, one per process, where each shard is
+large enough to repay its fork.  The first shard runs in the calling
+process and each other in an ``os.fork`` child, which shares the built
+model copy-on-write and sends back through a pipe only its ``(rows, 3)``
+measurements, or the exception that stopped it.  The report is the one a
+single process computes, bit for bit, at any worker count.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,6 @@ class MonteCarloReport:
     cv_var: float
 
 
-def usable_cpus():
-    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def run_study(beta, n, replicates, seed, workers=1, dense=False):
     """Run a replicated study of the model at one (beta, n).
 
@@ -86,15 +79,15 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     seed : int
         Study seed; replicate ``i`` uses stream ``(seed, i)``.
     workers : int
-        Processes to measure the replicates on, at least 1.  The replicates
-        split into up to ``min(workers, usable_cpus())`` contiguous shards
-        of whole engine blocks, each of at least ``MIN_SHARD_BLOCKS``
-        blocks; the first runs in this process and each other in a forked
-        child, so ``os.fork`` is needed above one.  Blocks of one replicate
-        (``sampler.block_rows(rn) == 1``) are never split: there the BLAS
-        threads of the row norms already take the second CPU.  The report
-        does not depend on ``workers``.  A caller whose own threads may
-        hold locks across the fork should pass 1.
+        Processes to measure the replicates on, at least 1; the caller
+        caps it at the CPUs it may use.  The replicates split into up to
+        ``workers`` contiguous shards of whole engine blocks, each of at
+        least ``MIN_SHARD_BLOCKS`` blocks; the first runs in this process
+        and each other in an ``os.fork`` child.  Where ``os`` has no
+        ``fork``, or a fork fails with ``OSError`` (a process limit, say),
+        this process measures those shards itself.  The report does not
+        depend on ``workers``.  A caller whose own threads may hold locks
+        across the fork should pass 1.
     dense : bool
         Build the model on the dense route, which its transforms, convolutions
         and ``eigen`` summary follow; ``eigen`` is the ``eigen`` command's
@@ -119,7 +112,7 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
 
     model = build_model(beta, n, dense=dense)
     eigen = eigen_report(model)
-    shards = _shards(replicates, block_rows(model.rn), min(workers, usable_cpus()))
+    shards = _shards(replicates, block_rows(model.rn), workers if hasattr(os, "fork") else 1)
     # A replicate reads only what the engine holds, the operator and the
     # row's norm.  Each process builds its own engine and then drops the
     # model, which a forked child takes out of its own copy of this list.
@@ -133,12 +126,15 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     measured = np.empty((replicates, 3))
     children = []
     try:
-        for shard in shards[1:]:
-            children.append(_Child(held, seed, *shard))
-        held.pop()
+        rest = _fork_children(children, held, seed, shards[1:])
+        if rest is None:
+            held.pop()
         _measure(blocks, 0, measured[:stop])
+        del blocks
         for child in children:
             child.receive(measured[child.start:child.stop])
+        if rest is not None:
+            _measure(replicate_blocks(held.pop(), seed, replicates, rest), rest, measured[rest:])
     finally:
         for child in children:
             child.kill()
@@ -164,11 +160,10 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
 def _shards(replicates, rows, workers):
     """``(start, stop)`` of the contiguous shards of whole ``rows``-replicate
     blocks that ``replicates`` split into on up to ``workers`` processes:
-    as many as hold ``MIN_SHARD_BLOCKS`` blocks each, and one where a block
-    holds one replicate.  Each has ``ceil(blocks / count)`` blocks but the
-    last, which may be shorter."""
+    as many as hold ``MIN_SHARD_BLOCKS`` blocks each.  Each has
+    ``ceil(blocks / count)`` blocks but the last, which may be shorter."""
     blocks = -(-replicates // rows)
-    count = max(1, min(workers, blocks // MIN_SHARD_BLOCKS)) if rows > 1 else 1
+    count = max(1, min(workers, blocks // MIN_SHARD_BLOCKS))
     size = -(-blocks // count) * rows
     return [(start, min(start + size, replicates)) for start in range(0, replicates, size)]
 
@@ -186,21 +181,65 @@ def _measure(blocks, start, out):
         del block
 
 
+def _fork_children(children, held, seed, shards):
+    """Fork a :class:`_Child` for each of ``shards`` in turn, appending it to
+    ``children``, and return ``None``, or the start of the first shard whose
+    pipe or fork failed with ``OSError``: from there on this process
+    measures the replicates itself.
+
+    SIGINT's handler is held back meanwhile and the signal delivered again
+    on return, so that no KeyboardInterrupt lands between a fork and the
+    append of its child, which would leave that child unreaped.  Only the
+    main thread runs signal handlers, so on any other there is none to
+    hold, nor is there one that was set outside Python."""
+    if not shards:
+        return None
+    import signal  # only here: the import costs every command ~1 ms
+
+    caught = []
+    handler = signal.getsignal(signal.SIGINT)
+    try:
+        if handler is not None:
+            signal.signal(signal.SIGINT, lambda *_: caught.append(True))
+    except ValueError:  # not the main thread
+        handler = None
+    try:
+        for start, stop in shards:
+            try:
+                children.append(_Child(held, seed, start, stop, handler))
+            except OSError:
+                return start
+        return None
+    finally:
+        if handler is not None:
+            signal.signal(signal.SIGINT, handler)
+            if caught:
+                signal.raise_signal(signal.SIGINT)
+
+
 class _Child:
     """A forked process that measures replicates ``start .. stop - 1`` and
     writes to a pipe ``b"m"`` and their float64 rows, or ``b"e"`` and the
-    exception that stopped it, pickled.
+    exception that stopped it, pickled.  ``sigint`` is the SIGINT handler
+    the child restores, if the caller holds it back while forking.
 
     The child never returns into its caller's frames: it ends with
     ``os._exit``, so no ``finally`` block, ``atexit`` hook, open file or
     stdio buffer of the parent runs or flushes in it.  The parent reaps it
     once, in :meth:`receive` or :meth:`kill`."""
 
-    def __init__(self, held, seed, start, stop):
+    def __init__(self, held, seed, start, stop, sigint):
+        import signal
+
         self.start, self.stop = start, stop
         read_fd, write_fd = os.pipe()
         try:
-            self.pid = os.fork()
+            with warnings.catch_warnings():
+                # Python 3.12 warns of a fork in a process with other
+                # threads.  Ours are OpenBLAS's, whose atfork handler stops
+                # them before the fork, and the child runs only this thread.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
         except BaseException:
             os.close(read_fd)
             os.close(write_fd)
@@ -208,6 +247,12 @@ class _Child:
         if self.pid == 0:
             code = 1
             try:
+                # The caller's SIGINT handler, held back during the fork;
+                # and a child holding the read end open would block forever
+                # on a full pipe that its parent no longer reads.
+                if sigint is not None:
+                    signal.signal(signal.SIGINT, sigint)
+                os.close(read_fd)
                 measured = np.empty((stop - start, 3))
                 try:
                     _measure(replicate_blocks(held.pop(), seed, stop, start), start, measured)

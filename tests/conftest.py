@@ -29,14 +29,13 @@ def no_child_left():
     pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")
 
 
-def counted_forks(monkeypatch, cpus):
-    """Have ``run_study`` see ``cpus`` usable CPUs and give a process a shard
-    of one block or more, so that it splits small studies on any host, and
-    return the list that each ``os.fork`` in this process appends its
-    child's pid to."""
+def counted_forks(monkeypatch, after_fork=None):
+    """Give a process a shard of one block or more, so that ``run_study``
+    splits small studies, and return the list that each ``os.fork`` in this
+    process appends its child's pid to.  ``after_fork``, if given, runs in
+    the parent after each fork, before the pid is returned."""
     from longmem import montecarlo
 
-    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", 1)
     fork, pids = os.fork, []
 
@@ -44,6 +43,8 @@ def counted_forks(monkeypatch, cpus):
         pid = fork()
         if pid:
             pids.append(pid)
+            if after_fork:
+                after_fork()
         return pid
 
     monkeypatch.setattr(os, "fork", counted)

@@ -225,7 +225,7 @@ def test_c8_property_suite(monkeypatch):
 
     # full-run determinism under fixed seeds, including workers > 1: 200
     # replicates at rn = 201 are 7 blocks, split 3 + 3 + 1 over 3 processes
-    forks = counted_forks(monkeypatch, cpus=3)
+    forks = counted_forks(monkeypatch)
     a = run_study(2.2, 200, replicates=200, seed=SEED, workers=1)
     b = run_study(2.2, 200, replicates=200, seed=SEED, workers=3)
     c = run_study(2.2, 200, replicates=200, seed=SEED, workers=1)

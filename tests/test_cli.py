@@ -812,8 +812,8 @@ class TestStreamedOutput:
 # Runs the command line as if this host had two usable CPUs, so that study
 # splits its replicates over two processes on any host.
 TWO_CPUS = """import sys
-from longmem import cli, montecarlo
-cli.usable_cpus = montecarlo.usable_cpus = lambda: 2
+from longmem import cli
+cli._workers = lambda: 2
 sys.exit(cli.main(sys.argv[1:]))"""
 
 # Runs the command line with an os.fork that fails.

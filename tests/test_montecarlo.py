@@ -5,7 +5,9 @@ import math
 import os
 import signal
 import time
+import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -39,7 +41,7 @@ class TestDeterminism:
         # 200 replicates at rn = 201 are 7 blocks of up to 31 rows: 2, 3 and
         # 4 workers split them into shards of 4 + 3, 3 + 3 + 1 and
         # 2 + 2 + 2 + 1 blocks, one per process.
-        forks = counted_forks(monkeypatch, cpus=4)
+        forks = counted_forks(monkeypatch)
         serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=1))
         assert forks == []
         for workers in (2, 3, 4):
@@ -56,7 +58,7 @@ class TestDeterminism:
     ], ids=["dense", "padded"])
     def test_split_routes_match_one_process(self, n, replicates, dense, forks_by_workers,
                                             monkeypatch):
-        forks = counted_forks(monkeypatch, cpus=4)
+        forks = counted_forks(monkeypatch)
         serial = _report_floats(run_study(2.2, n, replicates, seed=5, dense=dense))
         for workers, count in forks_by_workers.items():
             del forks[:]
@@ -69,8 +71,10 @@ class TestDeterminism:
         # shards of MIN_SHARD_BLOCKS = 32; 2000 are 65, enough for two.
         assert montecarlo._shards(500, 31, 2) == [(0, 500)]
         assert montecarlo._shards(2000, 31, 4) == [(0, 33 * 31), (33 * 31, 2000)]
-        # Blocks of one replicate are never split.
-        assert montecarlo._shards(4000, 1, 2) == [(0, 4000)]
+        # Blocks of one replicate (n >= 3125) follow the same rule: 40 stay
+        # in this process, 128 split in two.
+        assert montecarlo._shards(40, 1, 2) == [(0, 40)]
+        assert montecarlo._shards(128, 1, 2) == [(0, 64), (64, 128)]
 
     def test_shards_are_whole_blocks(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", 1)
@@ -82,21 +86,18 @@ class TestDeterminism:
         assert montecarlo._shards(100, 31, 3) == [(0, 62), (62, 100)]
         assert montecarlo._shards(30, 31, 4) == [(0, 30)]
 
-    @pytest.mark.parametrize("cpus, chunk_bytes", [
-        (1, sampler.CHUNK_BYTES),  # one usable CPU
-        (4, 2 * 16 * 201 - 1),     # blocks of one replicate
-    ], ids=["one-cpu", "one-replicate-blocks"])
-    def test_runs_in_this_process(self, cpus, chunk_bytes, monkeypatch):
-        serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
-        monkeypatch.setattr(sampler, "CHUNK_BYTES", chunk_bytes)
-        forks = counted_forks(monkeypatch, cpus=cpus)
-        assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=4)) == serial
-        assert forks == []
+    def test_one_replicate_blocks_split(self, monkeypatch):
+        # 20 replicates at rn = 201 in blocks of one: shards of 10 each.
+        serial = _report_floats(run_study(2.2, 200, replicates=20, seed=5))
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", 2 * 16 * 201 - 1)
+        forks = counted_forks(monkeypatch)
+        assert _report_floats(run_study(2.2, 200, replicates=20, seed=5, workers=2)) == serial
+        assert len(forks) == 1
 
     def test_default_threshold_splits_only_large_studies(self, monkeypatch):
         # At n = 200, 500 replicates stay in this process and 2000 split in two.
         threshold = montecarlo.MIN_SHARD_BLOCKS
-        forks = counted_forks(monkeypatch, cpus=4)
+        forks = counted_forks(monkeypatch)
         monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", threshold)
         run_study(2.2, 200, replicates=500, seed=5, workers=4)
         assert forks == []
@@ -454,25 +455,31 @@ class TestSplitStudy:
         with pytest.raises(DegenerateSampleError) as serial:
             run_study(2.2, 200, replicates=200, seed=5, workers=1)
         assert str(serial.value).startswith(f"replicate stream_index={named}: constant")
-        forks = counted_forks(monkeypatch, cpus=4)
+        forks = counted_forks(monkeypatch)
         with pytest.raises(DegenerateSampleError) as split:
             run_study(2.2, 200, replicates=200, seed=5, workers=workers)
         assert str(split.value) == str(serial.value)
         assert len(forks) == workers - 1
         assert childless()
 
-    def test_killed_child_names_its_replicates(self, monkeypatch):
+    # SIGINT to the child alone raises KeyboardInterrupt there, which ends it
+    # with status 1 before it sends anything.
+    @pytest.mark.parametrize("signum, ended", [
+        (signal.SIGKILL, "by signal 9"),
+        (signal.SIGINT, "with exit status 1"),
+    ], ids=["kill", "int"])
+    def test_killed_child_names_its_replicates(self, signum, ended, monkeypatch):
         parent, draw = os.getpid(), sampler._draw_noise
 
         def dying(keyer, start, stop, rn):
             if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
+                os.kill(os.getpid(), signum)
             return draw(keyer, start, stop, rn)
 
         monkeypatch.setattr(sampler, "_draw_noise", dying)
-        forks = counted_forks(monkeypatch, cpus=4)
+        forks = counted_forks(monkeypatch)
         with pytest.raises(InternalConsistencyError, match=(
-                r"^the process measuring replicates 124 \.\. 199 ended by signal 9 "
+                rf"^the process measuring replicates 124 \.\. 199 ended {ended} "
                 r"without sending them$")):
             run_study(2.2, 200, replicates=200, seed=5, workers=2)
         assert len(forks) == 1
@@ -491,7 +498,7 @@ class TestSplitStudy:
             return draw(keyer, start, stop, rn)
 
         monkeypatch.setattr(sampler, "_draw_noise", drawn)
-        forks = counted_forks(monkeypatch, cpus=4)
+        forks = counted_forks(monkeypatch)
         began = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_study(2.2, 200, replicates=200, seed=5, workers=3)
@@ -502,7 +509,7 @@ class TestSplitStudy:
     def test_children_run_nothing_of_the_caller(self, tmp_path, monkeypatch):
         # A child that returned into the caller's frames would run this
         # finally block and flush a second copy of the buffered line.
-        forks = counted_forks(monkeypatch, cpus=4)
+        forks = counted_forks(monkeypatch)
         log = tmp_path / "log"
         with open(log, "w", encoding="utf-8") as out:
             out.write("buffered before the study\n")
@@ -529,6 +536,67 @@ class TestSplitStudy:
 
         monkeypatch.setattr(montecarlo, "build_model", tracked)
         monkeypatch.setattr(sampler, "_draw_noise", checked)
-        forks = counted_forks(monkeypatch, cpus=4)
+        forks = counted_forks(monkeypatch)
         run_study(2.2, 200, replicates=200, seed=5, workers=3)
         assert len(refs) == 4 and len(forks) == 2
+
+    def test_no_fork_runs_in_this_process(self, monkeypatch):
+        serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
+        monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", 1)
+        monkeypatch.delattr(os, "fork")
+        assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=3)) == serial
+
+    @pytest.mark.parametrize("fails_at, forked", [(1, 0), (2, 1)])
+    def test_failed_fork_measures_the_rest_here(self, fails_at, forked, monkeypatch):
+        # On 3 workers, the fork for shard 1 or for shard 2 fails: this
+        # process measures that shard and the ones after it.
+        serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
+        forks = counted_forks(monkeypatch)
+        fork, calls = os.fork, []
+
+        def limited():
+            calls.append(None)
+            if len(calls) == fails_at:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", limited)
+        assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=3)) == serial
+        assert len(calls) == fails_at and len(forks) == forked
+        assert childless()
+
+    def test_fork_warning_is_not_an_error(self, monkeypatch):
+        # Python 3.12 warns in the parent, after the child exists, of a fork
+        # with other threads; pytest makes DeprecationWarning an error here.
+        def warn():
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+
+        serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
+        forks = counted_forks(monkeypatch, after_fork=warn)
+        assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=3)) == serial
+        assert len(forks) == 2
+
+    def test_interrupt_at_the_fork_reaps_the_child(self, monkeypatch):
+        # SIGINT lands as a fork returns, before its pid is stored; it is
+        # raised once the children are in hand, which are then killed.
+        interrupted = []
+
+        def interrupt():
+            if not interrupted:
+                interrupted.append(None)
+                os.kill(os.getpid(), signal.SIGINT)
+
+        forks = counted_forks(monkeypatch, after_fork=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_study(2.2, 200, replicates=200, seed=5, workers=3)
+        assert len(forks) == 2
+        assert childless()
+
+    def test_splits_off_the_main_thread(self, monkeypatch):
+        serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
+        forks = counted_forks(monkeypatch)
+        with ThreadPoolExecutor(1) as pool:
+            split = pool.submit(run_study, 2.2, 200, replicates=200, seed=5, workers=3).result()
+        assert _report_floats(split) == serial
+        assert len(forks) == 2
