@@ -13,22 +13,22 @@ block by block.  So a report or a histogram is a pure function of
 contiguous shards of whole blocks, one per process, where each shard is
 large enough to repay its fork.  The first shard runs in the calling
 process and each other in an ``os.fork`` child, which shares the built
-model copy-on-write and sends back through a pipe only its ``(rows, 3)``
-measurements, or the exception that stopped it.  The report is the one a
-single process computes, bit for bit, at any worker count.
+model copy-on-write and writes its ``(rows, 3)`` measurements into an
+array in anonymous shared memory, reporting only its exit status.  Since
+replicate ``i`` depends on ``(seed, i)`` alone, the caller measures again
+any shard that no child delivered.  The report is the one a single
+process computes, bit for bit, at any worker count.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import whole
-from .errors import InternalConsistencyError
 # generate and sample_stats, the one-replicate forms of the engine's stages,
 # stay importable here: bench/tracer.py wraps them by name.
 from .estimators import row_stats, sample_stats  # noqa: F401
@@ -83,11 +83,12 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         caps it at the CPUs it may use.  The replicates split into up to
         ``workers`` contiguous shards of whole engine blocks, each of at
         least ``MIN_SHARD_BLOCKS`` blocks; the first runs in this process
-        and each other in an ``os.fork`` child.  Where ``os`` has no
-        ``fork``, or a fork fails with ``OSError`` (a process limit, say),
-        this process measures those shards itself.  The report does not
-        depend on ``workers``.  A caller whose own threads may hold locks
-        across the fork should pass 1.
+        and each other in an ``os.fork`` child.  This process measures
+        every shard itself where ``os`` has no ``fork``, and each shard
+        whose fork fails with ``OSError`` (a process limit, say) or whose
+        child does not exit 0 (a signal or an exception stopped it).  The
+        report does not depend on ``workers``.  A caller whose own threads
+        may hold locks across the fork should pass 1.
     dense : bool
         Build the model on the dense route, which its transforms, convolutions
         and ``eigen`` summary follow; ``eigen`` is the ``eigen`` command's
@@ -103,10 +104,9 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         If any replicate's noise is constant; the message names the
         offending stream index and the study aborts.  With several failing
         replicates, the first in stream order is named, on any worker count.
-    InternalConsistencyError
-        If a child process ends without sending its measurements; the
-        message names its replicates.
     """
+    import mmap  # only here, as signal is: only a study needs it
+
     replicates = whole(replicates, "replicates", MIN_REPLICATES)
     workers = whole(workers, "workers", MIN_WORKERS)
 
@@ -120,21 +120,21 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
     # engine's first-use imports instead of each paying them again.
     held = [model]
     del model
-    stop = shards[0][1]
-    blocks = replicate_blocks(held[0], seed, stop)
+    blocks = replicate_blocks(held[0], seed, shards[0][1])
 
-    measured = np.empty((replicates, 3))
+    # Every process writes its rows in place, at their replicates.
+    measured = np.frombuffer(mmap.mmap(-1, replicates * 24)).reshape(replicates, 3)
     children = []
     try:
-        rest = _fork_children(children, held, seed, shards[1:])
-        if rest is None:
-            held.pop()
-        _measure(blocks, 0, measured[:stop])
+        _fork_children(children, held, seed, shards[1:], measured)
+        held.pop()
+        _measure(blocks, measured)
         del blocks
+        # In stream order, so that the first failing replicate is named.
         for child in children:
-            child.receive(measured[child.start:child.stop])
-        if rest is not None:
-            _measure(replicate_blocks(held.pop(), seed, replicates, rest), rest, measured[rest:])
+            if not child.delivered():
+                _measure(replicate_blocks(build_model(beta, n, dense=dense), seed,
+                                          child.stop, child.start), measured)
     finally:
         for child in children:
             child.kill()
@@ -168,24 +168,21 @@ def _shards(replicates, rows, workers):
     return [(start, min(start + size, replicates)) for start in range(0, replicates, size)]
 
 
-def _measure(blocks, start, out):
-    """Fill ``out`` with the ``(d_meas, alpha_meas, variance)`` rows of the
-    replicates from ``start`` on, from their engine blocks, each dropped
+def _measure(blocks, measured):
+    """Write the ``(d_meas, alpha_meas, variance)`` rows of the engine's
+    ``blocks`` into ``measured`` at their replicates, each block dropped
     before the next is drawn."""
     for block in blocks:
         stats = row_stats(block.series)
-        first = block.start - start
-        out[first:first + len(block.series)] = np.column_stack(
+        measured[block.start:block.start + len(block.series)] = np.column_stack(
             (stats.d_meas, stats.alpha_meas, stats.variance)
         )
         del block
 
 
-def _fork_children(children, held, seed, shards):
-    """Fork a :class:`_Child` for each of ``shards`` in turn, appending it to
-    ``children``, and return ``None``, or the start of the first shard whose
-    pipe or fork failed with ``OSError``: from there on this process
-    measures the replicates itself.
+def _fork_children(children, held, seed, shards, measured):
+    """Fork a :class:`_Child` for each of ``shards`` in turn, writing into
+    ``measured``, and append it to ``children``.
 
     SIGINT's handler is held back meanwhile and the signal delivered again
     on return, so that no KeyboardInterrupt lands between a fork and the
@@ -193,7 +190,7 @@ def _fork_children(children, held, seed, shards):
     main thread runs signal handlers, so on any other there is none to
     hold, nor is there one that was set outside Python."""
     if not shards:
-        return None
+        return
     import signal  # only here: the import costs every command ~1 ms
 
     caught = []
@@ -205,11 +202,7 @@ def _fork_children(children, held, seed, shards):
         handler = None
     try:
         for start, stop in shards:
-            try:
-                children.append(_Child(held, seed, start, stop, handler))
-            except OSError:
-                return start
-        return None
+            children.append(_Child(held, seed, start, stop, measured, handler))
     finally:
         if handler is not None:
             signal.signal(signal.SIGINT, handler)
@@ -218,21 +211,21 @@ def _fork_children(children, held, seed, shards):
 
 
 class _Child:
-    """A forked process that measures replicates ``start .. stop - 1`` and
-    writes to a pipe ``b"m"`` and their float64 rows, or ``b"e"`` and the
-    exception that stopped it, pickled.  ``sigint`` is the SIGINT handler
-    the child restores, if the caller holds it back while forking.
+    """A forked process that writes the rows of replicates ``start .. stop -
+    1`` into ``measured`` and exits 0, or exits 1 if anything stops it;
+    ``pid`` is ``None`` if the fork failed with ``OSError``.  ``sigint`` is
+    the SIGINT handler the child restores, if the caller holds it back
+    while forking.
 
     The child never returns into its caller's frames: it ends with
     ``os._exit``, so no ``finally`` block, ``atexit`` hook, open file or
     stdio buffer of the parent runs or flushes in it.  The parent reaps it
-    once, in :meth:`receive` or :meth:`kill`."""
+    once, in :meth:`delivered` or :meth:`kill`."""
 
-    def __init__(self, held, seed, start, stop, sigint):
+    def __init__(self, held, seed, start, stop, measured, sigint):
         import signal
 
         self.start, self.stop = start, stop
-        read_fd, write_fd = os.pipe()
         try:
             with warnings.catch_warnings():
                 # Python 3.12 warns of a fork in a process with other
@@ -240,56 +233,26 @@ class _Child:
                 # them before the fork, and the child runs only this thread.
                 warnings.simplefilter("ignore", DeprecationWarning)
                 self.pid = os.fork()
-        except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
+        except OSError:  # the caller measures the shard
+            self.pid = None
+            return
         if self.pid == 0:
             code = 1
             try:
-                # The caller's SIGINT handler, held back during the fork;
-                # and a child holding the read end open would block forever
-                # on a full pipe that its parent no longer reads.
                 if sigint is not None:
                     signal.signal(signal.SIGINT, sigint)
-                os.close(read_fd)
-                measured = np.empty((stop - start, 3))
-                try:
-                    _measure(replicate_blocks(held.pop(), seed, stop, start), start, measured)
-                    sent = (b"m", measured)
-                except Exception as exc:  # raised again by the parent
-                    sent = (b"e", pickle.dumps(exc))
-                with open(write_fd, "wb") as pipe:
-                    pipe.writelines(sent)
+                _measure(replicate_blocks(held.pop(), seed, stop, start), measured)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
 
-    def receive(self, out):
-        """Read the child's measurements into ``out`` and reap it.  Its
-        exception is raised here, and a child that ended without sending
-        raises ``InternalConsistencyError`` naming its replicates."""
-        with self.pipe:
-            kind = self.pipe.read(1)
-            if kind == b"m":
-                self.pipe.readinto(out)
-            else:
-                error = self.pipe.read()
-        code = self._reap()
-        if code != 0:
-            ended = f"by signal {-code}" if code < 0 else f"with exit status {code}"
-            raise InternalConsistencyError(
-                f"the process measuring replicates {self.start} .. {self.stop - 1} "
-                f"ended {ended} without sending them"
-            )
-        if kind != b"m":
-            raise pickle.loads(error)
+    def delivered(self):
+        """Reap the child and tell whether it wrote its rows, that is
+        exited 0; ``False`` for a failed fork."""
+        return self.pid is not None and self._reap() == 0
 
     def kill(self):
         """Kill and reap the child unless it has been reaped already."""
-        self.pipe.close()
         if self.pid:
             import signal  # only here: the import costs every command ~1 ms
 
@@ -297,6 +260,7 @@ class _Child:
             self._reap()
 
     def _reap(self):
+        """Wait for the child and return its wait status, 0 for exit 0."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        return os.waitstatus_to_exitcode(status)
+        return status

@@ -51,6 +51,23 @@ def counted_forks(monkeypatch, after_fork=None):
     return pids
 
 
+def counted_builds(monkeypatch):
+    """Return the list that each ``build_model`` call of ``run_study`` in this
+    process appends to.  A study builds its model once, and once more for
+    each shard that it measures because no child delivered it; so a split
+    study whose children always failed would show here, not in its report."""
+    from longmem import montecarlo
+
+    build, calls = montecarlo.build_model, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "build_model", counted)
+    return calls
+
+
 def constant_rows(draw, failing):
     """``draw`` (``sampler._draw_noise``) with the rows of the streams in
     ``failing`` made constant."""
