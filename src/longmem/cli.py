@@ -6,9 +6,10 @@ payload is the full parameter set as JSON.  CSV cells write floats with 17
 significant digits, and JSON (the metadata line included) with Python's
 shortest round-trip repr; either way parsing them back reproduces the
 in-memory values bit-for-bit, and a fixed seed makes reruns byte-identical.
-CSV chunks render on up to two threads and are written in row order, and a
-study measures its replicates on up to two processes, so the bytes depend on
-neither count; JSON renders on the main thread.
+CSV chunks render on up to two threads and are written in row order, and
+``study`` and ``hist`` draw their replicates on up to two forked processes,
+which stream each block to this one, so the bytes depend on neither count;
+JSON renders on the main thread.
 
 Exit codes: 0 success, 2 malformed flags (argparse), 1 runtime error, 130
 interrupted (SIGINT).  Runtime errors, allocation failures included, and
@@ -24,7 +25,6 @@ import ctypes
 import itertools
 import json
 import math
-import operator
 import os
 import stat
 import sys
@@ -37,8 +37,8 @@ from ._checks import real, whole
 from ._csv import rows_text
 from .errors import InsufficientDataError, LongmemError
 from .estimators import DEFAULT_BIN_COUNT, MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import MIN_REPLICATES, run_study
-from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate, replicate_blocks
+from .montecarlo import MIN_REPLICATES, run_study, standardized_blocks
+from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_model, eigen_report, realized_length
 
 PROG = "longmem"
@@ -144,8 +144,8 @@ def _metadata(cfg):
         "seed": cfg.seed,
         "replicates": cfg.replicates,
         "bins": cfg.bins,
-        # A placeholder that bench/golden.json pins: study's worker count
-        # (_workers()) depends on the host, and the bytes do not.
+        # A placeholder that bench/golden.json pins: the worker count of study
+        # and hist (_workers()) depends on the host, and the bytes do not.
         "workers": 1,
         "dense_oracle": cfg.dense_oracle,
         "generator": GENERATOR,
@@ -194,14 +194,12 @@ def _cmd_eigen(cfg):
 
 
 def _cmd_hist(cfg):
-    # Built inline, the model is freed once replicate_blocks holds its operator.
-    blocks = replicate_blocks(build_model(cfg.beta, cfg.n, dense=cfg.dense_oracle),
-                              cfg.seed, cfg.replicates)
-    # Each block's rows, raveled into one view, are binned together.  map,
-    # unlike a generator expression, keeps no reference to the previous
-    # block while the next is drawn, so its arrays are freed first.
-    items = map(np.ravel, map(operator.attrgetter("standardized"), blocks))
-    hist = accumulate_histogram(items, bin_count=cfg.bins)
+    # Each block's rows, raveled into one array, are binned together, here,
+    # whichever process drew them.
+    blocks = standardized_blocks(cfg.beta, cfg.n, cfg.replicates, cfg.seed, workers=_workers(),
+                                 dense=cfg.dense_oracle)
+    with contextlib.closing(blocks):
+        hist = accumulate_histogram(blocks, bin_count=cfg.bins)
     try:
         fitted = fit_alpha_from_histogram(hist)
     except InsufficientDataError:
@@ -247,9 +245,10 @@ def _row_chunks(columns):
 
 
 def _workers():
-    """Threads that render CSV chunks, and processes that measure a study's
-    replicates: two where this process may run on at least two CPUs (its
-    affinity mask, else ``os.cpu_count()``), else one."""
+    """Threads that render CSV chunks, and processes that draw the
+    replicates of ``study`` and ``hist``: two where this process may run on
+    at least two CPUs (its affinity mask, else ``os.cpu_count()``), else
+    one."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:

@@ -46,7 +46,10 @@ DENSE_GUARD = 4096
 # peak RSS of its own process above the ~28 MB after import) took 102
 # (spectrum, eigen) to 110 (hist, 3 replicates) bytes a point, the same in
 # JSON as in CSV; hist at 2**22 bins took 50 bytes a bin.  So 2**22 keeps
-# every command under ~0.5 GB.
+# every process under ~0.5 GB.  hist and study split over two forked
+# children hold about twice that in all: at n = 2**22 - 2, hist with 3
+# replicates peaked at 414 MB in its largest process and 743 MB in the
+# three processes' summed Pss.
 LENGTH_GUARD = 2 ** 22
 
 # Largest prime factor of rn that keeps a convolution on the complex route.

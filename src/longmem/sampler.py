@@ -39,6 +39,12 @@ COSINE_TOL = 1e-12
 
 SEED_LIMIT = 2**64
 
+# Longest row whose norm is a BLAS dot.  OpenBLAS computes a dot of up to
+# 10000 points on the calling thread.  It splits a longer one over its
+# threads: the bits then follow the thread count, and a second CPU spins for
+# about 50 ms after each call.
+BLAS_DOT_MAX = 10_000
+
 # Bytes of one block's complex128 (rows, rn) array, the complex route's
 # transform: a block holds as many replicates as fit, and at least one (so
 # one at rn = 200001).
@@ -137,8 +143,10 @@ def generate(model, stream):
     del model
     epsilon = draw_epsilon(stream, first_row.size)
     series = circular_convolve(first_row, epsilon, dense=dense)
-    block = _series_block(epsilon[None], series[None], np.linalg.norm(first_row),
-                          stream.seed, stream.stream_index)
+    # numpy's BLAS norms at any length, which bench/workloads.py recomputes
+    # to check the cosine column bit for bit.
+    norms = np.linalg.norm(first_row) * np.linalg.norm(epsilon)[None]
+    block = _series_block(epsilon[None], series[None], norms, stream.seed, stream.stream_index)
     return block.sample(0)
 
 
@@ -177,7 +185,10 @@ def replicate_blocks(model, seed, replicates, first=0):
     """Iterate over replicates ``first .. replicates - 1`` of ``seed`` in
     consecutive blocks (:class:`SeriesBlock`) of ``block_rows(rn)`` rows, the
     last one possibly shorter; replicate ``i`` equals ``generate(model,
-    RngStream(seed, i))`` bit for bit, and no stream before ``first`` is drawn.
+    RngStream(seed, i))`` bit for bit up to ``BLAS_DOT_MAX`` points a row
+    (longer rows' cosine and standardized values may differ from
+    ``generate``'s in the last bits, see :func:`_row_norms`), and no stream
+    before ``first`` is drawn.
 
     The convolution operator (:func:`~longmem.dft.convolution_operator`,
     which fixes the route) and the row's norm are computed once per call,
@@ -196,7 +207,7 @@ def replicate_blocks(model, seed, replicates, first=0):
     first = whole(first, "first")
     rn = model.rn
     operator = convolution_operator(model.first_row, model.dense)
-    row_norm = np.linalg.norm(model.first_row)
+    row_norm = _row_norms(model.first_row[None])[0]
     keyer = _StreamKeyer(seed)
     rows = block_rows(rn)
     return (_draw_block(operator, row_norm, keyer, rn, start, min(start + rows, replicates))
@@ -207,7 +218,8 @@ def _draw_block(operator, row_norm, keyer, rn, start, stop):
     """Replicates ``start .. stop - 1``, built outside the generator so that
     no local there keeps the previous block alive while this one is drawn."""
     epsilon = _draw_noise(keyer, start, stop, rn)
-    return _series_block(epsilon, convolve_rows(operator, epsilon), row_norm, keyer.seed, start)
+    return _series_block(epsilon, convolve_rows(operator, epsilon), row_norm * _row_norms(epsilon),
+                         keyer.seed, start)
 
 
 def _draw_noise(keyer, start, stop, rn):
@@ -285,10 +297,10 @@ def _fold(words):
 
 
 @representable
-def _series_block(epsilon, series, row_norm, seed, start):
+def _series_block(epsilon, series, norms, seed, start):
     """The block of replicates ``start ..`` from their noise and series: each
-    row divided by its product of 2-norms, checked to lie in [-1, 1], and
-    standardized.
+    row divided by its product of 2-norms (``norms``, one a row), checked to
+    lie in [-1, 1], and standardized.
 
     The first row whose noise is constant raises ``DegenerateSampleError``,
     naming its stream.  The operator is a positive-definite circulant with
@@ -303,7 +315,6 @@ def _series_block(epsilon, series, row_norm, seed, start):
             f"replicate stream_index={start + constant[0]}: constant noise gives a constant "
             "series, which has no range to standardize"
         )
-    norms = row_norm * _row_norms(epsilon)
     cosvec = series / norms[:, None]
     worst = np.abs(cosvec).max(axis=1)
     failed = np.flatnonzero(worst > 1.0 + COSINE_TOL)
@@ -322,11 +333,16 @@ def _series_block(epsilon, series, row_norm, seed, start):
 
 
 def _row_norms(block):
-    """The 2-norm of each row of a 2-D block, bit for bit ``np.linalg.norm``
-    of the row: a stacked vector @ vector is the same one BLAS dot of the row
-    with itself, where a block-wide ``axis=1`` norm would sum in another
-    order."""
-    return np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
+    """The 2-norm of each row of a 2-D block, the row's alone whatever the
+    block around it.  Up to ``BLAS_DOT_MAX`` points a row it is bit for bit
+    ``np.linalg.norm`` of the row: a stacked vector @ vector is the same one
+    BLAS dot of the row with itself, which OpenBLAS runs on this thread.  A
+    longer row's squares are summed by numpy's pairwise sum, in an order
+    fixed by the row's length, so that its norm does not depend on the
+    OpenBLAS thread count and leaves no BLAS thread spinning."""
+    if block.shape[1] <= BLAS_DOT_MAX:
+        return np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
+    return np.sqrt(np.sum(block * block, axis=1))
 
 
 @representable

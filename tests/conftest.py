@@ -29,14 +29,15 @@ def no_child_left():
     pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")
 
 
-def counted_forks(monkeypatch, after_fork=None):
-    """Give a process a shard of one block or more, so that ``run_study``
-    splits small studies, and return the list that each ``os.fork`` in this
-    process appends its child's pid to.  ``after_fork``, if given, runs in
-    the parent after each fork, before the pid is returned."""
+def split_small_runs(monkeypatch, after_fork=None):
+    """Give a process a shard of one series value or more, so that
+    ``run_study`` and ``standardized_blocks`` split small runs into a shard
+    of whole blocks per worker, and return the list that each ``os.fork`` in
+    this process appends its child's pid to.  ``after_fork``, if given, runs
+    in the parent after each fork, before the pid is returned."""
     from longmem import montecarlo
 
-    monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", 1)
+    monkeypatch.setattr(montecarlo, "MIN_SHARD_VALUES", 1)
     fork, pids = os.fork, []
 
     def counted():
@@ -52,10 +53,11 @@ def counted_forks(monkeypatch, after_fork=None):
 
 
 def counted_builds(monkeypatch):
-    """Return the list that each ``build_model`` call of ``run_study`` in this
-    process appends to.  A study builds its model once, and once more for
-    each shard that it measures because no child delivered it; so a split
-    study whose children always failed would show here, not in its report."""
+    """Return the list that each ``build_model`` call of ``run_study`` or
+    ``standardized_blocks`` in this process appends to.  A run builds its
+    model once, and once more for each shard with blocks that it measures
+    because no child delivered them; so a split run whose children always
+    failed would show here, not in its output."""
     from longmem import montecarlo
 
     build, calls = montecarlo.build_model, []

@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import counted_forks
+from conftest import split_small_runs
 
 from longmem.dft import circulant_matrix, circular_convolve, unitary_dft
 from longmem.estimators import accumulate_histogram, fit_alpha_from_histogram, sample_stats
@@ -224,12 +224,12 @@ def test_c8_property_suite(monkeypatch):
     ok &= abs(float(np.sum(hist.densities * np.diff(hist.edges))) - 1.0) <= 1e-9
 
     # full-run determinism under fixed seeds, including workers > 1: 200
-    # replicates at rn = 201 are 7 blocks, split 3 + 3 + 1 over 3 processes
-    forks = counted_forks(monkeypatch)
+    # replicates at rn = 201 are 7 blocks, split 3 + 3 + 1 over 3 children
+    forks = split_small_runs(monkeypatch)
     a = run_study(2.2, 200, replicates=200, seed=SEED, workers=1)
     b = run_study(2.2, 200, replicates=200, seed=SEED, workers=3)
     c = run_study(2.2, 200, replicates=200, seed=SEED, workers=1)
-    ok &= asdict(a) == asdict(b) == asdict(c) and len(forks) == 2
+    ok &= asdict(a) == asdict(b) == asdict(c) and len(forks) == 3
 
     check("C8 property-suite", bool(ok), "parseval/popoviciu/invariance/monotone/mass/determinism")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import child_env, constant_rows, strict_json
+from conftest import child_env, constant_rows, split_small_runs, strict_json
 
 import longmem
 from longmem import cli, dft, montecarlo, sampler
@@ -382,17 +382,29 @@ class TestHist:
         )
         assert result.stdout == (GOLDEN / "hist_beta10_n40_r30.csv").read_text()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_split_over_children_gives_the_same_bytes(self, fmt, capsys, monkeypatch):
+        # 100 replicates at rn = 201 are 4 blocks; with small shards, two
+        # children draw 2 each and this process bins all 4.
+        args = ("hist", "--beta", "2.2", "--n", "200", "--replicates", "100", "--format", fmt)
+        monkeypatch.setattr(cli, "_workers", lambda: 1)
+        serial = main_stdout(capsys, *args)
+        forks = split_small_runs(monkeypatch)
+        monkeypatch.setattr(cli, "_workers", lambda: 2)
+        assert main_stdout(capsys, *args) == serial
+        assert len(forks) == 2
+
     def test_each_replicate_freed_before_the_next_is_drawn(self, monkeypatch):
         # Peak memory holds one block of replicates, not two: at hist-wide's
         # size (rn = 200001) a block is one replicate of about 8 MB.
-        assert_blocks_freed_in_turn(monkeypatch, cli, "hist")
+        assert_blocks_freed_in_turn(monkeypatch, montecarlo, "hist")
 
     def test_each_study_block_freed_before_the_next_is_drawn(self, monkeypatch):
         # study reduces each block to its statistics; the block goes first.
         assert_blocks_freed_in_turn(monkeypatch, montecarlo, "study")
 
     @pytest.mark.parametrize("command, module, hook, kept", [
-        ("hist", cli, "_draw_noise", []),
+        ("hist", montecarlo, "_draw_noise", []),
         ("study", montecarlo, "_draw_noise", []),
         ("generate", cli, "draw_epsilon", ["first_row"]),  # the row it convolves with
     ], ids=["hist", "study", "generate"])

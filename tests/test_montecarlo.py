@@ -1,6 +1,7 @@
 """Replication-harness tests: determinism across worker counts and
 agreement between measured and eigenvalue-predicted statistics."""
 
+import contextlib
 import math
 import os
 import signal
@@ -12,14 +13,14 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from conftest import constant_rows, counted_builds, counted_forks
+from conftest import constant_rows, counted_builds, split_small_runs
 
 import longmem.montecarlo as montecarlo
 import longmem.sampler as sampler
 from longmem.dft import circulant_matrix, convolution_operator, transform_length
 from longmem.errors import DegenerateSampleError
 from longmem.estimators import sample_stats
-from longmem.montecarlo import run_study
+from longmem.montecarlo import run_study, standardized_blocks
 from longmem.sampler import RngStream, generate, replicate_blocks
 from longmem.spectral import build_grid, build_model, eigen_report
 
@@ -40,9 +41,9 @@ class TestDeterminism:
     def test_worker_count_does_not_change_results(self, monkeypatch):
         # 200 replicates at rn = 201 are 7 blocks of up to 31 rows: 2, 3 and
         # 4 workers split them into shards of 4 + 3, 3 + 3 + 1 and
-        # 2 + 2 + 2 + 1 blocks, one per process.  One build of the model
+        # 2 + 2 + 2 + 1 blocks, one child each.  One build of the model
         # shows that every child delivered its shard.
-        forks = counted_forks(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         builds = counted_builds(monkeypatch)
         serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=1))
         assert forks == []
@@ -50,17 +51,17 @@ class TestDeterminism:
             del forks[:], builds[:]
             split = run_study(2.2, 200, replicates=200, seed=5, workers=workers)
             assert _report_floats(split) == serial
-            assert len(forks) == workers - 1 and len(builds) == 1
+            assert len(forks) == workers and len(builds) == 1
 
     # 500 replicates at rn = 41 on the dense route are 4 blocks of up to 152
     # rows; 40 at rn = 1019 on the padded route are 7 blocks of up to 6.
     @pytest.mark.parametrize("n, replicates, dense, forks_by_workers", [
-        (40, 500, True, {2: 1, 3: 1, 4: 3}),
-        (1018, 40, False, {2: 1, 3: 2, 4: 3}),
+        (40, 500, True, {2: 2, 3: 2, 4: 4}),
+        (1018, 40, False, {2: 2, 3: 3, 4: 4}),
     ], ids=["dense", "padded"])
     def test_split_routes_match_one_process(self, n, replicates, dense, forks_by_workers,
                                             monkeypatch):
-        forks = counted_forks(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         builds = counted_builds(monkeypatch)
         serial = _report_floats(run_study(2.2, n, replicates, seed=5, dense=dense))
         for workers, count in forks_by_workers.items():
@@ -70,45 +71,56 @@ class TestDeterminism:
             assert len(forks) == count and len(builds) == 1
 
     def test_shards_repay_their_fork(self):
-        # 500 replicates in blocks of 31 are 17 blocks, too few for two
-        # shards of MIN_SHARD_BLOCKS = 32; 2000 are 65, enough for two.
-        assert montecarlo._shards(500, 31, 2) == [(0, 500)]
-        assert montecarlo._shards(2000, 31, 4) == [(0, 33 * 31), (33 * 31, 2000)]
-        # Blocks of one replicate (n >= 3125) follow the same rule: 40 stay
-        # in this process, 128 split in two.
-        assert montecarlo._shards(40, 1, 2) == [(0, 40)]
-        assert montecarlo._shards(128, 1, 2) == [(0, 64), (64, 128)]
+        # A shard holds MIN_SHARD_VALUES = 400,000 series values or more.  At
+        # rn = 201 (blocks of 31): 500 and 2000 replicates (100,500 and
+        # 402,000 values) stay in one process, 4000 (804,000) split in two.
+        assert montecarlo.MIN_SHARD_VALUES == 400_000
+        assert montecarlo._shards(500, 201, 2) == [(0, 500)]
+        assert montecarlo._shards(2000, 201, 2) == [(0, 2000)]
+        assert montecarlo._shards(4000, 201, 4) == [(0, 65 * 31), (65 * 31, 4000)]
+        # study-many keeps its two 323-block shards.
+        assert montecarlo._shards(20000, 201, 2) == [(0, 323 * 31), (323 * 31, 20000)]
+        # Blocks of one replicate follow the same rule: at rn = 200001, 40
+        # replicates (hist-wide) and 4 split in two, 3 stay whole; at
+        # rn = 5001, 159 stay whole and 160 split.
+        assert montecarlo._shards(40, 200_001, 2) == [(0, 20), (20, 40)]
+        assert montecarlo._shards(4, 200_001, 2) == [(0, 2), (2, 4)]
+        assert montecarlo._shards(3, 200_001, 2) == [(0, 3)]
+        assert montecarlo._shards(159, 5001, 2) == [(0, 159)]
+        assert montecarlo._shards(160, 5001, 2) == [(0, 80), (80, 160)]
 
     def test_shards_are_whole_blocks(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", 1)
+        monkeypatch.setattr(montecarlo, "MIN_SHARD_VALUES", 1)
         # 200 replicates in blocks of 31: 7 blocks, the last of 14.
-        assert montecarlo._shards(200, 31, 1) == [(0, 200)]
-        assert montecarlo._shards(200, 31, 3) == [(0, 93), (93, 186), (186, 200)]
-        assert montecarlo._shards(200, 31, 4) == [(0, 62), (62, 124), (124, 186), (186, 200)]
+        assert montecarlo._shards(200, 201, 1) == [(0, 200)]
+        assert montecarlo._shards(200, 201, 3) == [(0, 93), (93, 186), (186, 200)]
+        assert montecarlo._shards(200, 201, 4) == [(0, 62), (62, 124), (124, 186), (186, 200)]
         # 4 blocks on 3 workers: shards of 2 blocks, so only two of them.
-        assert montecarlo._shards(100, 31, 3) == [(0, 62), (62, 100)]
-        assert montecarlo._shards(30, 31, 4) == [(0, 30)]
+        assert montecarlo._shards(100, 201, 3) == [(0, 62), (62, 100)]
+        assert montecarlo._shards(30, 201, 4) == [(0, 30)]
+        # Blocks of one replicate: never more shards than replicates.
+        assert montecarlo._shards(3, 200_001, 4) == [(0, 1), (1, 2), (2, 3)]
 
     def test_one_replicate_blocks_split(self, monkeypatch):
         # 20 replicates at rn = 201 in blocks of one: shards of 10 each.
         serial = _report_floats(run_study(2.2, 200, replicates=20, seed=5))
         monkeypatch.setattr(sampler, "CHUNK_BYTES", 2 * 16 * 201 - 1)
-        forks = counted_forks(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         builds = counted_builds(monkeypatch)
         assert _report_floats(run_study(2.2, 200, replicates=20, seed=5, workers=2)) == serial
-        assert len(forks) == 1 and len(builds) == 1
+        assert len(forks) == 2 and len(builds) == 1
 
     def test_default_threshold_splits_only_large_studies(self, monkeypatch):
-        # At n = 200, 500 replicates stay in this process and 2000 split in two.
-        threshold = montecarlo.MIN_SHARD_BLOCKS
-        forks = counted_forks(monkeypatch)
-        monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", threshold)
-        run_study(2.2, 200, replicates=500, seed=5, workers=4)
+        # At n = 200, 2000 replicates stay in this process and 4000 split in two.
+        threshold = montecarlo.MIN_SHARD_VALUES
+        forks = split_small_runs(monkeypatch)
+        monkeypatch.setattr(montecarlo, "MIN_SHARD_VALUES", threshold)
+        run_study(2.2, 200, replicates=2000, seed=5, workers=4)
         assert forks == []
-        serial = _report_floats(run_study(2.2, 200, replicates=2000, seed=5))
+        serial = _report_floats(run_study(2.2, 200, replicates=4000, seed=5))
         builds = counted_builds(monkeypatch)
-        assert _report_floats(run_study(2.2, 200, replicates=2000, seed=5, workers=4)) == serial
-        assert len(forks) == 1 and len(builds) == 1
+        assert _report_floats(run_study(2.2, 200, replicates=4000, seed=5, workers=4)) == serial
+        assert len(forks) == 2 and len(builds) == 1
 
     def test_seeds_change_results(self):
         a = run_study(2.2, 40, replicates=40, seed=5)
@@ -118,7 +130,8 @@ class TestDeterminism:
 
 class TestReplicateSamples:
     """Row ``k`` of ``replicate_blocks`` is ``generate(model, RngStream(seed,
-    k))``, on the model's route."""
+    k))``, on the model's route, up to ``sampler.BLAS_DOT_MAX`` points a
+    row."""
 
     # Seed 7's ids are the bare replicate counts.
     @pytest.mark.parametrize("replicates, seed", [
@@ -444,12 +457,80 @@ def childless():
     return False
 
 
+def _track_models(monkeypatch):
+    """Return the list that gets weak references to the arrays of each model
+    ``montecarlo`` builds in this process, and make every draw assert that
+    all of them are dead."""
+    build, draw, refs = montecarlo.build_model, sampler._draw_noise, []
+
+    def tracked(*args, **kwargs):
+        model = build(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in (model.density, model.first_row,
+                                             model.eigenvalues, model.grid.frequencies))
+        return model
+
+    def checked(keyer, start, stop, rn):
+        assert all(ref() is None for ref in refs), f"model alive at replicate {start}"
+        return draw(keyer, start, stop, rn)
+
+    monkeypatch.setattr(montecarlo, "build_model", tracked)
+    monkeypatch.setattr(sampler, "_draw_noise", checked)
+    return refs
+
+
+def _stopping(monkeypatch, signum, after):
+    """Make a child stop at its first block that starts after replicate
+    ``after``: by the signal ``signum`` sent to itself (SIGINT to it alone
+    raises KeyboardInterrupt there), or by a ``MemoryError`` if it is None.
+    Return the list of the first replicates of the blocks this process
+    draws."""
+    parent, draw, drawn = os.getpid(), sampler._draw_noise, []
+
+    def stopping(keyer, start, stop, rn):
+        if os.getpid() != parent:
+            if start > after:
+                if signum is None:
+                    raise MemoryError
+                os.kill(os.getpid(), signum)
+        else:
+            drawn.append(start)
+        return draw(keyer, start, stop, rn)
+
+    monkeypatch.setattr(sampler, "_draw_noise", stopping)
+    return drawn
+
+
+# Blocks of shard 1 that this process draws when its child stops at 155.
+# An exception still flushes the child's buffered block 124 .. 154 into the
+# pipe; SIGKILL loses it with the rest.
+REDRAWN = {signal.SIGKILL: [124, 155, 186], signal.SIGINT: [155, 186], None: [155, 186]}
+
+
+def _failing_fork(monkeypatch, fails_at):
+    """Make call ``fails_at`` of ``os.fork`` fail as a process limit does;
+    return the list of calls."""
+    fork, calls = os.fork, []
+
+    def limited():
+        calls.append(None)
+        if len(calls) == fails_at:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited)
+    return calls
+
+
+STOPS = pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGINT, None],
+                                ids=["kill", "int", "memory"])
+
+
 class TestSplitStudy:
     """A study split over processes fails as one process does, naming the
-    first failing replicate in stream order; it measures here each shard
+    first failing replicate in stream order; it measures here each block
     that no child delivered; and no child outlives the call.
     200 replicates at rn = 201 are the shards 0 .. 123 and 124 .. 199 on 2
-    workers, and 0 .. 92, 93 .. 185 and 186 .. 199 on 3."""
+    workers, and 0 .. 92, 93 .. 185 and 186 .. 199 on 3, one child each."""
 
     @pytest.mark.parametrize("failing, workers, named", [
         ({150}, 2, 150),       # in shard 1 only
@@ -461,61 +542,51 @@ class TestSplitStudy:
         with pytest.raises(DegenerateSampleError) as serial:
             run_study(2.2, 200, replicates=200, seed=5, workers=1)
         assert str(serial.value).startswith(f"replicate stream_index={named}: constant")
-        forks = counted_forks(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         with pytest.raises(DegenerateSampleError) as split:
             run_study(2.2, 200, replicates=200, seed=5, workers=workers)
         assert str(split.value) == str(serial.value)
-        assert len(forks) == workers - 1
+        assert len(forks) == workers
         assert childless()
 
-    # A child that is killed, interrupted (SIGINT to it alone raises
-    # KeyboardInterrupt there) or out of memory exits without its rows; this
-    # process builds the model again and measures replicates 124 .. 199.
-    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGINT, None],
-                             ids=["kill", "int", "memory"])
+    # The child of shard 1 draws its block 124 .. 154 and stops at 155;
+    # this process builds the model again and measures the blocks that the
+    # child did not deliver.
+    @STOPS
     def test_stopped_child_is_measured_here(self, signum, monkeypatch):
         serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
-        parent, draw = os.getpid(), sampler._draw_noise
-
-        def stopping(keyer, start, stop, rn):
-            if os.getpid() != parent:
-                if signum is None:
-                    raise MemoryError
-                os.kill(os.getpid(), signum)
-            return draw(keyer, start, stop, rn)
-
-        monkeypatch.setattr(sampler, "_draw_noise", stopping)
-        forks = counted_forks(monkeypatch)
+        drawn = _stopping(monkeypatch, signum, after=124)
+        forks = split_small_runs(monkeypatch)
         builds = counted_builds(monkeypatch)
         assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=2)) == serial
-        assert len(forks) == 1 and len(builds) == 2
+        assert len(forks) == 2 and len(builds) == 2 and drawn == REDRAWN[signum]
         assert childless()
 
     def test_interrupt_kills_the_children(self, monkeypatch):
-        # The children would sleep for a minute; the interrupted caller kills
-        # them instead of waiting.
+        # The children would sleep for a minute; the first interrupts this
+        # process while it waits, which kills them instead of waiting.
         parent, draw = os.getpid(), sampler._draw_noise
 
         def drawn(keyer, start, stop, rn):
             if os.getpid() != parent:
+                if start == 0:
+                    os.kill(parent, signal.SIGINT)
                 time.sleep(60)
-            elif start > 0:
-                raise KeyboardInterrupt
             return draw(keyer, start, stop, rn)
 
         monkeypatch.setattr(sampler, "_draw_noise", drawn)
-        forks = counted_forks(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         began = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_study(2.2, 200, replicates=200, seed=5, workers=3)
         assert time.monotonic() - began < 30
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert childless()
 
     def test_children_run_nothing_of_the_caller(self, tmp_path, monkeypatch):
         # A child that returned into the caller's frames would run this
         # finally block and flush a second copy of the buffered line.
-        forks = counted_forks(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         builds = counted_builds(monkeypatch)
         log = tmp_path / "log"
         with open(log, "w", encoding="utf-8") as out:
@@ -525,76 +596,47 @@ class TestSplitStudy:
             finally:
                 out.write("finally\n")
         assert log.read_text(encoding="utf-8") == "buffered before the study\nfinally\n"
-        assert len(forks) == 3 and len(builds) == 1
-
-    @staticmethod
-    def _track_models(monkeypatch):
-        """Return the list that gets weak references to the arrays of each
-        model ``run_study`` builds in this process, and make every draw
-        assert that all of them are dead."""
-        build, draw, refs = montecarlo.build_model, sampler._draw_noise, []
-
-        def tracked(*args, **kwargs):
-            model = build(*args, **kwargs)
-            refs.extend(weakref.ref(a) for a in (model.density, model.first_row,
-                                                 model.eigenvalues, model.grid.frequencies))
-            return model
-
-        def checked(keyer, start, stop, rn):
-            assert all(ref() is None for ref in refs), f"model alive at replicate {start}"
-            return draw(keyer, start, stop, rn)
-
-        monkeypatch.setattr(montecarlo, "build_model", tracked)
-        monkeypatch.setattr(sampler, "_draw_noise", checked)
-        return refs
+        assert len(forks) == 4 and len(builds) == 1
 
     def test_model_freed_before_each_process_draws(self, monkeypatch):
         # A child that draws with the model alive fails the assertion and
-        # exits 1, and this process builds the model again to measure its
-        # shard: four more references than one build's four.
-        refs = self._track_models(monkeypatch)
-        forks = counted_forks(monkeypatch)
+        # exits 1 before it delivers a block, and this process builds the
+        # model again to measure its shard: four more references for each
+        # such child than one build's four.
+        refs = _track_models(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         run_study(2.2, 200, replicates=200, seed=5, workers=3)
-        assert len(refs) == 4 and len(forks) == 2
+        assert len(refs) == 4 and len(forks) == 3
 
     def test_rebuilt_model_freed_before_its_shard_draws(self, monkeypatch):
         # The fork for shard 1 fails: this process builds the model again
         # for it and drops the model before the shard's first draw.
         serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
-        forks = counted_forks(monkeypatch)
-
-        def failing():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", failing)
-        refs = self._track_models(monkeypatch)
+        forks = split_small_runs(monkeypatch)
+        _failing_fork(monkeypatch, fails_at=2)
+        refs = _track_models(monkeypatch)
         assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=2)) == serial
-        assert len(refs) == 8 and forks == []
+        assert len(refs) == 8 and len(forks) == 1
+        assert childless()
 
     def test_no_fork_runs_in_this_process(self, monkeypatch):
         serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
-        monkeypatch.setattr(montecarlo, "MIN_SHARD_BLOCKS", 1)
+        monkeypatch.setattr(montecarlo, "MIN_SHARD_VALUES", 1)
         monkeypatch.delattr(os, "fork")
+        builds = counted_builds(monkeypatch)
         assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=3)) == serial
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("fails_at, forked", [(1, 1), (2, 1)])
     def test_failed_fork_measures_the_rest_here(self, fails_at, forked, monkeypatch):
-        # On 3 workers, the fork for shard 1 or for shard 2 fails: this
+        # On 2 workers, the fork for shard 0 or for shard 1 fails: this
         # process builds the model again and measures that shard, and the
         # other shard still forks.
         serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
-        forks = counted_forks(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         builds = counted_builds(monkeypatch)
-        fork, calls = os.fork, []
-
-        def limited():
-            calls.append(None)
-            if len(calls) == fails_at:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", limited)
-        assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=3)) == serial
+        calls = _failing_fork(monkeypatch, fails_at)
+        assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=2)) == serial
         assert len(calls) == 2 and len(forks) == forked and len(builds) == 2
         assert childless()
 
@@ -606,10 +648,10 @@ class TestSplitStudy:
                           "deadlocks in the child.", DeprecationWarning, stacklevel=2)
 
         serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
-        forks = counted_forks(monkeypatch, after_fork=warn)
+        forks = split_small_runs(monkeypatch, after_fork=warn)
         builds = counted_builds(monkeypatch)
         assert _report_floats(run_study(2.2, 200, replicates=200, seed=5, workers=3)) == serial
-        assert len(forks) == 2 and len(builds) == 1
+        assert len(forks) == 3 and len(builds) == 1
 
     def test_interrupt_at_the_fork_reaps_the_child(self, monkeypatch):
         # SIGINT lands as a fork returns, before its pid is stored; it is
@@ -621,17 +663,107 @@ class TestSplitStudy:
                 interrupted.append(None)
                 os.kill(os.getpid(), signal.SIGINT)
 
-        forks = counted_forks(monkeypatch, after_fork=interrupt)
+        forks = split_small_runs(monkeypatch, after_fork=interrupt)
         with pytest.raises(KeyboardInterrupt):
             run_study(2.2, 200, replicates=200, seed=5, workers=3)
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert childless()
 
     def test_splits_off_the_main_thread(self, monkeypatch):
         serial = _report_floats(run_study(2.2, 200, replicates=200, seed=5))
-        forks = counted_forks(monkeypatch)
+        forks = split_small_runs(monkeypatch)
         builds = counted_builds(monkeypatch)
         with ThreadPoolExecutor(1) as pool:
             split = pool.submit(run_study, 2.2, 200, replicates=200, seed=5, workers=3).result()
         assert _report_floats(split) == serial
-        assert len(forks) == 2 and len(builds) == 1
+        assert len(forks) == 3 and len(builds) == 1
+
+
+def _values(workers, replicates=200):
+    """Every standardized value of ``replicates`` replicates at rn = 201 on
+    ``workers`` processes, sorted, and the number of blocks they came in."""
+    blocks = standardized_blocks(2.2, 200, replicates, seed=5, workers=workers)
+    with contextlib.closing(blocks):
+        arrays = list(blocks)
+    return np.sort(np.concatenate(arrays)), len(arrays)
+
+
+class TestSplitHist:
+    """``standardized_blocks`` split over processes yields every value of
+    one process once, block by block, bins nothing in a child, fails as one
+    process does, and leaves no child behind.  Its shards are the study's:
+    0 .. 123 and 124 .. 199 on 2 workers, and 0 .. 92, 93 .. 185 and
+    186 .. 199 on 3."""
+
+    def test_worker_count_does_not_change_values(self, monkeypatch):
+        serial, count = _values(1)
+        assert serial.size == 200 * 201 and count == 7
+        forks = split_small_runs(monkeypatch)
+        builds = counted_builds(monkeypatch)
+        for workers in (2, 3):
+            del forks[:], builds[:]
+            values, blocks = _values(workers)
+            assert np.array_equal(values, serial) and blocks == count
+            assert len(forks) == workers and len(builds) == 1
+
+    @STOPS
+    def test_stopped_child_is_measured_here(self, signum, monkeypatch):
+        serial, _ = _values(1)
+        drawn = _stopping(monkeypatch, signum, after=124)
+        forks = split_small_runs(monkeypatch)
+        builds = counted_builds(monkeypatch)
+        values, count = _values(2)
+        assert np.array_equal(values, serial) and count == 7
+        assert len(forks) == 2 and len(builds) == 2 and drawn == REDRAWN[signum]
+        assert childless()
+
+    @pytest.mark.parametrize("fails_at", [1, 2])
+    def test_failed_fork_is_measured_here(self, fails_at, monkeypatch):
+        serial, _ = _values(1)
+        forks = split_small_runs(monkeypatch)
+        builds = counted_builds(monkeypatch)
+        calls = _failing_fork(monkeypatch, fails_at)
+        assert np.array_equal(_values(2)[0], serial)
+        assert len(calls) == 2 and len(forks) == 1 and len(builds) == 2
+        assert childless()
+
+    @pytest.mark.parametrize("failing, workers, named", [
+        ({30, 150}, 2, 30),    # in shards 0 and 1: shard 0's
+        ({100, 190}, 3, 100),  # in shards 1 and 2: shard 1's
+    ])
+    def test_first_failing_replicate_is_named(self, failing, workers, named, monkeypatch):
+        monkeypatch.setattr(sampler, "_draw_noise", constant_rows(sampler._draw_noise, failing))
+        forks = split_small_runs(monkeypatch)
+        with pytest.raises(DegenerateSampleError,
+                           match=f"^replicate stream_index={named}: constant"):
+            _values(workers)
+        assert len(forks) == workers
+        assert childless()
+
+    def test_model_freed_before_each_process_draws(self, monkeypatch):
+        # As for the study: a child drawing with the model alive would show
+        # as four more references.
+        refs = _track_models(monkeypatch)
+        forks = split_small_runs(monkeypatch)
+        _values(3)
+        assert len(refs) == 4 and len(forks) == 3
+
+    def test_closing_early_kills_the_children(self, monkeypatch):
+        # The child of shard 0 delivers its blocks, and that of shard 1 would
+        # sleep for a minute; closing the iterator after one block kills it.
+        parent, draw = os.getpid(), sampler._draw_noise
+
+        def drawn(keyer, start, stop, rn):
+            if os.getpid() != parent and start >= 124:
+                time.sleep(60)
+            return draw(keyer, start, stop, rn)
+
+        monkeypatch.setattr(sampler, "_draw_noise", drawn)
+        forks = split_small_runs(monkeypatch)
+        began = time.monotonic()
+        blocks = standardized_blocks(2.2, 200, 200, seed=5, workers=2)
+        assert next(blocks).size == 31 * 201
+        blocks.close()
+        assert time.monotonic() - began < 30
+        assert len(forks) == 2
+        assert childless()

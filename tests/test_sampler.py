@@ -1,6 +1,7 @@
 """Sampling tests: stream reproducibility, convolution routing, and the
 cosine / standardized transforms."""
 
+import functools
 import subprocess
 import sys
 import textwrap
@@ -95,25 +96,46 @@ class TestStreamKeyer:
             np.testing.assert_array_equal(noise[k], stream.generator().standard_normal(7))
 
 
+@functools.cache
+def _row_norms_printed(threads):
+    """What :attr:`TestRowNorms.SCRIPT` prints at ``threads`` OpenBLAS threads,
+    in a child process: the count is read at load time."""
+    result = subprocess.run([sys.executable, "-c", TestRowNorms.SCRIPT], capture_output=True,
+                            text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestRowNorms:
-    # A subprocess per OpenBLAS thread count: the count is read at load time.
+    # Each row's norm, and the standardized rows of two replicates at
+    # rn = 20001, where OpenBLAS would split a dot over its threads.
     SCRIPT = textwrap.dedent("""
+        import hashlib
         import numpy as np
-        from longmem.sampler import _row_norms
+        from longmem.sampler import BLAS_DOT_MAX, _row_norms, replicate_blocks
+        from longmem.spectral import build_model
         rng = np.random.default_rng(3)
-        for rn in (3, 201, 200_001, 999_999):
+        for rn in (3, 201, BLAS_DOT_MAX, BLAS_DOT_MAX + 2, 200_001, 999_999):
             block = rng.standard_normal((3, rn)) * np.array([[1e-3], [1.0], [1e3]])
-            expected = np.array([np.linalg.norm(row) for row in block])
-            assert np.array_equal(_row_norms(block), expected), rn
-        print("equal")
+            norms = _row_norms(block)
+            assert np.array_equal(norms, [_row_norms(row[None])[0] for row in block]), rn
+            expected = [np.linalg.norm(row) for row in block]
+            if rn <= BLAS_DOT_MAX:
+                assert np.array_equal(norms, expected), rn
+            assert np.allclose(norms, expected, rtol=1e-14, atol=0), rn
+            print(rn, *map(float.hex, norms.tolist()))
+        for block in replicate_blocks(build_model(2.2, 20000), 5, 2):
+            print(hashlib.sha256(block.standardized.tobytes()).hexdigest())
     """)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_batched_norm_is_the_per_row_norm(self, threads):
-        result = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
-                                text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "equal\n"
+        # Up to BLAS_DOT_MAX points the BLAS dot's bits, which generate keeps
+        # at every length; a row's norm never depends on its block.
+        assert _row_norms_printed(threads).count("\n") == 6 + 2
+
+    def test_norms_do_not_depend_on_the_thread_count(self):
+        assert _row_norms_printed("1") == _row_norms_printed("2") == _row_norms_printed("4")
 
 
 class TestGenerate:
