@@ -120,6 +120,7 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         replicates, the first in stream order is named, on any worker count.
     """
     replicates = whole(replicates, "replicates", MIN_REPLICATES)
+    seed = whole(seed, "seed", limit=SEED_LIMIT)
     workers = whole(workers, "workers", MIN_WORKERS)
 
     model = build_model(beta, n, dense=dense)
@@ -139,7 +140,7 @@ def run_study(beta, n, replicates, seed, workers=1, dense=False):
         beta=float(beta),
         n=int(n),
         replicates=replicates,
-        seed=int(seed),
+        seed=seed,
         eigen=eigen,
         mean_d=float(means[0]),
         mean_alpha=float(means[1]),
@@ -160,7 +161,8 @@ def standardized_blocks(beta, n, replicates, seed, workers=1, dense=False):
     splits its replicates.  Blocks that children deliver come in the order
     they arrive, the rest in stream order after them, so the order of the
     values, unlike their multiset, depends on ``workers``.  ``replicates``
-    is at least 1.
+    is at least 1; it, ``seed`` and ``workers`` are checked when called,
+    before the model is built.
 
     Raises
     ------
@@ -169,6 +171,7 @@ def standardized_blocks(beta, n, replicates, seed, workers=1, dense=False):
         is constant, on any worker count.
     """
     replicates = whole(replicates, "replicates", 1)
+    seed = whole(seed, "seed", limit=SEED_LIMIT)
     workers = whole(workers, "workers", MIN_WORKERS)
     held = [build_model(beta, n, dense=dense)]
     return _raveled(_payloads(held, seed, replicates, workers,
@@ -204,7 +207,6 @@ def _payloads(held, seed, replicates, workers, payload, width):
     shard's from a model built again.  Every child is killed and reaped
     when this generator ends or is closed.
     """
-    seed = whole(seed, "seed", limit=SEED_LIMIT)
     model = held[0]
     beta, n, dense, rn = model.beta, model.grid.n, model.dense, model.rn
     del model

@@ -154,17 +154,32 @@ def generate(model, stream):
 class SeriesBlock:
     """Replicates ``start .. start + rows - 1`` of one seed: row ``k`` of each
     array is the matching :class:`SeriesSample` field of stream
-    ``(seed, start + k)``."""
+    ``(seed, start + k)``.
+
+    A block keeps what was drawn and computed: the noise, the series and
+    ``norms``, each row's product of 2-norms.  Its cosine and standardized
+    rows are derived from them on each read, so a consumer that reads only
+    the series computes neither."""
 
     epsilon: np.ndarray
     series: np.ndarray
-    cosvec: np.ndarray
-    standardized: np.ndarray
+    norms: np.ndarray
     seed: int
     start: int
 
+    @property
+    def cosvec(self):
+        """Each row of the series over its product of 2-norms, inside [-1, 1]."""
+        return self.series / self.norms[:, None]
+
+    @property
+    def standardized(self):
+        """Each row of :attr:`cosvec` mapped affinely onto [0, 1]."""
+        return _standardize_rows(self.cosvec)
+
     def sample(self, k):
-        """Row ``k`` as a :class:`SeriesSample` of views into this block."""
+        """Row ``k`` as a :class:`SeriesSample` of views into this block's
+        arrays and its derived ones."""
         return SeriesSample(
             epsilon=self.epsilon[k],
             series=self.series[k],
@@ -192,9 +207,11 @@ def replicate_blocks(model, seed, replicates, first=0):
 
     The convolution operator (:func:`~longmem.dft.convolution_operator`,
     which fixes the route) and the row's norm are computed once per call,
-    after ``seed``, ``replicates`` and ``first`` are checked.  A block holds no
-    reference to the one before, so once its consumer drops it only one
-    block is alive.
+    after ``seed``, ``replicates`` and ``first`` are checked.  Each block is
+    checked (:func:`_series_block`) and holds its noise, series and norms;
+    its cosine and standardized rows are computed only by a consumer that
+    reads them.  A block holds no reference to the one before, so once its
+    consumer drops it only one block is alive.
 
     Raises
     ------
@@ -298,9 +315,10 @@ def _fold(words):
 
 @representable
 def _series_block(epsilon, series, norms, seed, start):
-    """The block of replicates ``start ..`` from their noise and series: each
-    row divided by its product of 2-norms (``norms``, one a row), checked to
-    lie in [-1, 1], and standardized.
+    """The block of replicates ``start ..`` from their noise, series and
+    product of 2-norms (``norms``, one a row), once each row's cosine
+    vector, the series over its norms, is checked to lie in [-1, 1].  No
+    derived array is built here: the block derives them when they are read.
 
     The first row whose noise is constant raises ``DegenerateSampleError``,
     naming its stream.  The operator is a positive-definite circulant with
@@ -315,21 +333,15 @@ def _series_block(epsilon, series, norms, seed, start):
             f"replicate stream_index={start + constant[0]}: constant noise gives a constant "
             "series, which has no range to standardize"
         )
-    cosvec = series / norms[:, None]
-    worst = np.abs(cosvec).max(axis=1)
+    # Correctly rounded division by a positive norm is monotone, so this is
+    # the largest |cosine| of each row bit for bit.
+    worst = np.abs(series).max(axis=1) / norms
     failed = np.flatnonzero(worst > 1.0 + COSINE_TOL)
     if failed.size:
         raise InternalConsistencyError(
             f"cosine vector left [-1, 1]: max magnitude {float(worst[failed[0]])!r}"
         )
-    return SeriesBlock(
-        epsilon=epsilon,
-        series=series,
-        cosvec=cosvec,
-        standardized=_standardize_rows(cosvec),
-        seed=seed,
-        start=start,
-    )
+    return SeriesBlock(epsilon=epsilon, series=series, norms=norms, seed=seed, start=start)
 
 
 def _row_norms(block):
@@ -367,4 +379,6 @@ def _standardize_rows(block):
     hi = block.max(axis=1, keepdims=True)
     if np.any(hi == lo):
         raise DegenerateSampleError("constant vector has no range to standardize")
-    return (block - lo) / (hi - lo)
+    shifted = block - lo
+    shifted /= hi - lo
+    return shifted

@@ -20,7 +20,7 @@ from longmem.cli import build_parser
 from longmem.dft import circulant_matrix, circular_convolve, unitary_dft
 from longmem.errors import LongmemError
 from longmem.estimators import accumulate_histogram, sample_stats
-from longmem.montecarlo import run_study
+from longmem.montecarlo import run_study, standardized_blocks
 from longmem.sampler import SEED_LIMIT, RngStream, draw_epsilon, replicate_blocks, standardize
 from longmem.spectral import BETA_MAX, BETA_MIN, build_grid, build_model
 
@@ -35,6 +35,11 @@ INTEGER_PARAMETERS = [
     ("rn", lambda v: draw_epsilon(RngStream(seed=5), v), [1, -3], np.int64(5)),
     ("replicates", lambda v: run_study(2.2, 5, v, 5), [1, 0, -1], np.int64(3)),
     ("workers", lambda v: run_study(2.2, 5, 2, 5, workers=v), [0, -1], np.int64(2)),
+    # Both engine commands check the seed when called, before the model is built.
+    pytest.param("seed", lambda v: run_study(2.2, 5, 2, v), [-1, SEED_LIMIT],
+                 np.uint64(SEED_LIMIT - 1), id="run_study.seed"),
+    pytest.param("seed", lambda v: standardized_blocks(2.2, 5, 2, v), [-1, SEED_LIMIT],
+                 np.uint64(SEED_LIMIT - 1), id="standardized_blocks.seed"),
     (
         "bin_count",
         lambda v: accumulate_histogram([np.array([0.5])], bin_count=v),

@@ -88,18 +88,28 @@ def model_refs(monkeypatch, module):
 
 def assert_blocks_freed_in_turn(monkeypatch, module, command):
     """Run ``command`` at one replicate per block, with ``module``'s
-    ``replicate_blocks`` tracked, and check that each block's arrays are
-    dead before the next block's noise is drawn."""
+    ``replicate_blocks`` and ``cli.accumulate_histogram``'s items tracked,
+    and check that each block's arrays, and the standardized array under
+    each item binned, are dead before the next block's noise is drawn.  A
+    block derives its cosine and standardized rows afresh on each read, so
+    only what it holds, and what its consumer is handed, can be kept
+    alive."""
     monkeypatch.setattr(sampler, "CHUNK_BYTES", 1)  # one replicate per block
-    engine, draw = module.replicate_blocks, sampler._draw_noise
+    engine, draw, histogram = module.replicate_blocks, sampler._draw_noise, cli.accumulate_histogram
     arrays, drawn = [], []
 
     def tracked_blocks(*args, **kwargs):
         for block in engine(*args, **kwargs):
-            arrays.extend(weakref.ref(a) for a in (
-                block.epsilon, block.series, block.cosvec, block.standardized))
+            arrays.extend(weakref.ref(a) for a in (block.epsilon, block.series, block.norms))
             yield block
             del block
+
+    def tracked_items(samples):
+        for item in samples:
+            # The raveled item is a view: its base is the block's array.
+            arrays.append(weakref.ref(item.base))
+            yield item
+            del item
 
     def tracked_draw(keyer, start, stop, rn):
         assert all(ref() is None for ref in arrays)
@@ -107,10 +117,13 @@ def assert_blocks_freed_in_turn(monkeypatch, module, command):
         return draw(keyer, start, stop, rn)
 
     monkeypatch.setattr(module, "replicate_blocks", tracked_blocks)
+    monkeypatch.setattr(cli, "accumulate_histogram",
+                        lambda samples, **kwargs: histogram(tracked_items(samples), **kwargs))
     monkeypatch.setattr(sampler, "_draw_noise", tracked_draw)
     argv = [command, "--beta", "2.2", "--n", "20", "--replicates", "4", "--output", os.devnull]
     assert cli.main(argv) == 0
-    assert len(arrays) == 4 * 4
+    # Three arrays a block, and hist's binned item.
+    assert len(arrays) == 4 * (3 + (command == "hist"))
     assert drawn == [(0, 1), (1, 2), (2, 3), (3, 4)]  # the hook fired once per block
 
 

@@ -420,9 +420,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_study(2.2, 40, replicates=5, seed=5, workers=0)
 
-    def test_bad_seed_rejected(self):
-        with pytest.raises(ValueError):
-            run_study(2.2, 40, replicates=5, seed=-1)
+    def test_bad_seed_rejected(self, monkeypatch):
+        # Both engines check the seed before they build the model.
+        builds = counted_builds(monkeypatch)
+        for engine in (run_study, standardized_blocks):
+            with pytest.raises(ValueError, match="^seed must be"):
+                engine(2.2, 40, 5, seed=-1)
+        assert builds == []
 
     # beta, n, dense: the complex route (rn = 5), the padded route (rn = 1019
     # is prime) and the dense route (rn = 41).  The last two convolve a
@@ -767,3 +771,25 @@ class TestSplitHist:
         assert time.monotonic() - began < 30
         assert len(forks) == 2
         assert childless()
+
+
+class TestComputesOnlyWhatItReads:
+    """The study reads each block's series alone, so it standardizes
+    nothing, in this process or in a child; ``hist`` standardizes."""
+
+    def test_study_never_standardizes(self, monkeypatch):
+        serial = _report_floats(run_study(2.2, 200, 64, 5))
+
+        def refused(block):
+            raise AssertionError("a block was standardized")
+
+        monkeypatch.setattr(sampler, "_standardize_rows", refused)
+        assert _report_floats(run_study(2.2, 200, 64, 5, workers=1)) == serial
+        # 64 replicates in blocks of 31 split into shards of 62 and 2; a
+        # child that standardized would fail, and its shard be built again here.
+        forks = split_small_runs(monkeypatch)
+        builds = counted_builds(monkeypatch)
+        assert _report_floats(run_study(2.2, 200, 64, 5, workers=2)) == serial
+        assert len(forks) == 2 and len(builds) == 1
+        with pytest.raises(AssertionError, match="standardized"):
+            _values(1, replicates=64)

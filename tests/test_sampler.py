@@ -13,7 +13,7 @@ from conftest import child_env
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longmem import dft, sampler
+from longmem import dft, montecarlo, sampler
 from longmem.dft import circulant_matrix, circular_convolve, convolution_operator, transform_length
 from longmem.errors import DegenerateSampleError, InternalConsistencyError, UnsupportedLengthError
 from longmem.sampler import RngStream, draw_epsilon, generate, replicate_blocks, standardize
@@ -217,7 +217,12 @@ class TestGenerate:
             assert power.max() / power.sum() > 0.5
 
 
-    def test_cosine_check_is_per_row(self, monkeypatch):
+    # The engine's blocks, and the study, which reads only the series.
+    @pytest.mark.parametrize("consume", [
+        lambda: next(sampler.replicate_blocks(build_model(2.2, 20), 5, 9)),
+        lambda: montecarlo.run_study(2.2, 20, 9, 5),
+    ], ids=["replicate_blocks", "run_study"])
+    def test_cosine_check_is_per_row(self, consume, monkeypatch):
         # Rows 3 and 6 of one block leave [-1, 1]; the message gives row 3's
         # magnitude (at most 1e3), not row 6's (above 1e3).
         convolve = sampler.convolve_rows
@@ -229,9 +234,8 @@ class TestGenerate:
             return series
 
         monkeypatch.setattr(sampler, "convolve_rows", inflated)
-        blocks = sampler.replicate_blocks(build_model(2.2, 20), 5, 9)
         with pytest.raises(InternalConsistencyError, match="cosine vector left") as caught:
-            next(blocks)
+            consume()
         assert 1.0 < float(str(caught.value).rsplit(" ", 1)[1]) <= 1e3
 
 
