@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import ctypes
 import itertools
 import json
 import math
@@ -32,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _malloc
 from ._checks import real, whole
 from ._csv import rows_text
 from .errors import InsufficientDataError, LongmemError
@@ -382,28 +381,8 @@ def _emit(text, out):
     out.write(text)
 
 
-def _keep_freed_blocks():
-    """Have glibc's malloc serve blocks under 4 MiB from its heap and keep up
-    to 32 MiB of it mapped once freed, for the life of the process, so each
-    replicate block reuses the previous block's transform buffers (3.2 MB at
-    hist's rn = 200001) instead of page-faulting fresh ones.  Larger blocks
-    are still mapped and returned one by one: kept at 8 MiB, the 8 MB rows
-    of n = 999998 raised hist's peak there by 7%.  Threads share that one
-    heap: with an arena each, the two CSV render threads raised the peak of
-    ``generate --n 200000`` from 62 to 80 MB.  Silently does nothing where
-    the C library has no ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD, <malloc.h>
-    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-8, 1)  # M_ARENA_MAX
-
-
 def main(argv=None):
-    _keep_freed_blocks()
+    _malloc.keep_freed_blocks()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -43,13 +43,13 @@ DENSE_GUARD = 4096
 
 # Longest grid any route will build, and the most histogram bins.  Each
 # command run alone through `cli.main` at n = 999998 (numpy 2.4.6, glibc,
-# peak RSS of its own process above the ~28 MB after import) took 102
-# (spectrum, eigen) to 110 (hist, 3 replicates) bytes a point, the same in
-# JSON as in CSV; hist at 2**22 bins took 50 bytes a bin.  So 2**22 keeps
-# every process under ~0.5 GB.  hist and study split over two forked
-# children hold about twice that in all: at n = 2**22 - 2, hist with 3
-# replicates peaked at 414 MB in its largest process and 743 MB in the
-# three processes' summed Pss.
+# peak RSS of its largest process above the ~28.6 MB after import) took 78
+# (spectrum) to 92 (generate, and each child of a split hist) bytes a
+# point, the same in JSON as in CSV; hist at 2**22 bins took 50 bytes a
+# bin.  So 2**22 keeps every process under ~0.5 GB.  hist and study split
+# over two forked children hold about twice that in all: at n = 2**22 - 2,
+# hist with 3 replicates peaked at 378 MB in its largest process and
+# 743 MB in the three processes' summed Pss.
 LENGTH_GUARD = 2 ** 22
 
 # Largest prime factor of rn that keeps a convolution on the complex route.
@@ -96,9 +96,12 @@ def unitary_dft(x, direction="forward", dense=False):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if dense:
         return _dense_dft(arr, direction)
-    if direction == "forward":
-        return np.fft.fft(arr, norm="ortho")
-    return np.fft.ifft(arr, norm="ortho")
+    # The transform runs in place, on an array that is this call's own: the
+    # cast of a real x, or a copy of the caller's complex one.
+    if arr is x or not arr.flags.owndata:
+        arr = arr.copy()
+    transform = np.fft.fft if direction == "forward" else np.fft.ifft
+    return transform(arr, norm="ortho", out=arr)
 
 
 def _dense_dft(arr, direction):
@@ -228,7 +231,12 @@ def convolve_rows(operator, block):
     expected = operator.row_sum * block.sum(axis=1)
     scale = operator.row_abs_sum * np.abs(block).sum(axis=1)
     if length == rn:
-        w = np.fft.ifft(operator.values * np.fft.fft(block, axis=1), axis=1).real
+        # One complex array throughout.  The operator stays the first factor:
+        # numpy's vectorized complex multiply rounds by operand order.
+        w = block.astype(complex)
+        np.fft.fft(w, axis=1, out=w)
+        np.multiply(operator.values, w, out=w)
+        w = np.fft.ifft(w, axis=1, out=w).real
     else:
         # pocketfft allocates its plan and scratch on every call (numpy caches
         # neither); `cli.main`'s allocator setting is what recycles them.

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _malloc
 from ._checks import whole
 # generate and sample_stats, the one-replicate forms of the engine's stages,
 # stay importable here: bench/tracer.py wraps them by name.
@@ -204,8 +205,9 @@ def _payloads(held, seed, replicates, workers, payload, width):
     more shards (:func:`_shards`), each runs in a :class:`_Child`, and the
     blocks the children deliver are yielded as they arrive; then the blocks
     no child delivered are measured here and yielded in stream order, each
-    shard's from a model built again.  Every child is killed and reaped
-    when this generator ends or is closed.
+    shard's from a model built again.  Before a split forks, this process
+    returns its heap's free pages to the system.  Every child is killed and
+    reaped when this generator ends or is closed.
     """
     model = held[0]
     beta, n, dense, rn = model.beta, model.grid.n, model.dense, model.rn
@@ -217,6 +219,9 @@ def _payloads(held, seed, replicates, workers, payload, width):
         if len(shards) > 1:
             import select  # only here, as signal is
 
+            # The model's freed transform buffers are still mapped: returned
+            # here, no child inherits them.
+            _malloc.trim()
             # numpy imports numpy.random on first use, the keying's: here,
             # before the fork, so that the children share it instead of each
             # paying ~15 ms of CPU and ~1700 page faults to import it.

@@ -179,12 +179,13 @@ class SeriesBlock:
 
     def sample(self, k):
         """Row ``k`` as a :class:`SeriesSample` of views into this block's
-        arrays and its derived ones."""
+        arrays and its derived ones, the cosine derived once."""
+        cosvec = self.cosvec
         return SeriesSample(
             epsilon=self.epsilon[k],
             series=self.series[k],
-            cosvec=self.cosvec[k],
-            standardized=self.standardized[k],
+            cosvec=cosvec[k],
+            standardized=_standardize_rows(cosvec)[k],
             seed=self.seed,
             stream_index=self.start + k,
         )

@@ -175,26 +175,34 @@ def build_model(beta, n, dense=False):
         first_row[0] = 1.0
         eigenvalues = np.ones(rn)
     else:
-        b = np.abs(unitary_dft(density, "inverse", dense=dense))
+        # The modulus's buffer becomes the row, so no second row-sized array
+        # is alive while the forward transform runs.
+        first_row = np.abs(unitary_dft(density, "inverse", dense=dense))
         # Conjugate symmetry makes elements 1..rn-1 a palindrome up to rounding;
-        # enforce it exactly so the dense operator equals its transpose bit-for-bit.
-        b[1:] = 0.5 * (b[1:] + b[1:][::-1])
-        first_row = b / math.sqrt(rn)
+        # enforce it exactly so the dense operator equals its transpose bit-for-bit
+        # (numpy reads the reversed view it writes over from a copy).
+        tail = first_row[1:]
+        tail += tail[::-1]
+        tail *= 0.5
+        first_row /= math.sqrt(rn)
 
-        spectrum = math.sqrt(rn) * unitary_dft(first_row, "forward", dense=dense)
-        lam = spectrum.real
-        lam_max = lam.max()
+        spectrum = unitary_dft(first_row, "forward", dense=dense)
+        spectrum *= math.sqrt(rn)
+        lam_max = spectrum.real.max()
         imag_max = np.abs(spectrum.imag).max()
         if imag_max > EIGEN_IMAG_TOL * lam_max:
             raise ModelConstructionError(
                 f"spectrum of the symmetric row has imaginary residue {imag_max:.3e} "
                 f"against leading eigenvalue {lam_max:.3e}"
             )
+        lam = spectrum.real.copy()
+        del spectrum
         if lam.min() <= 0.0:
             raise ModelConstructionError(
                 f"operator is not positive definite: smallest eigenvalue {lam.min():.3e}"
             )
-        eigenvalues = np.sort(lam)[::-1]
+        lam.sort()
+        eigenvalues = lam[::-1]
     return SpectralModel(
         beta=beta,
         grid=grid,

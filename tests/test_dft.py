@@ -72,6 +72,19 @@ class TestUnitaryDft:
         power_out = np.sum(np.abs(unitary_dft(x)) ** 2)
         assert abs(power_in - power_out) <= 1e-10 * (1.0 + power_in)
 
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("kind", ["complex", "real", "list"])
+    def test_input_left_unchanged(self, kind, direction):
+        # The fast transform runs in place, on a copy of the caller's array.
+        rng = np.random.default_rng(7)
+        x = {"complex": rng.normal(size=21) + 1j * rng.normal(size=21),
+             "real": rng.normal(size=21), "list": rng.normal(size=21).tolist()}[kind]
+        before = np.array(x, copy=True)
+        result = unitary_dft(x, direction)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(result, x)
+        np.testing.assert_array_equal(result, unitary_dft(before.copy(), direction))
+
     def test_direction_validated(self):
         with pytest.raises(ValueError):
             unitary_dft([1.0, 2.0], direction="backward")
@@ -252,8 +265,8 @@ class TestSumIdentityCheck:
         inverse = "ifft" if operator.length == rn else "irfft"
         transform = getattr(np.fft, inverse)
 
-        def faulty(spectrum, *args, axis):
-            out = transform(spectrum, *args, axis=axis)
+        def faulty(spectrum, *args, **kwargs):
+            out = transform(spectrum, *args, **kwargs)
             if fault == "dropped fold":
                 out[2:, rn:] = 0.0
             else:
