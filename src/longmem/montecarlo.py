@@ -49,10 +49,10 @@ MIN_WORKERS = 1
 # Series values (replicates * rn) a process must draw to repay its fork.
 # A split in two forks twice, and the caller reads every payload; launcher
 # pairs on a 2-core Xeon, split in two against one process, median wall
-# ratios over 10 to 16 pairs: study at n = 200 lost at 1000 replicates
-# (201,000 values, 1.13), broke even at 2000 (0.98) and gained at 4000
-# (0.92); hist at n = 200000 lost at 2 replicates (400,002 values, 1.12),
-# broke even at 4 (1.00) and gained at 8 (0.94) and 16 (0.86).
+# ratios over 16 pairs at CHUNK_BYTES = 800_000: study at n = 200 lost at
+# 1000 replicates (201,000 values, 1.03), broke even at 2000 (1.01) and
+# gained at 4000 (0.89); hist at n = 200000 lost at 2 replicates (400,002
+# values, 1.02), broke even at 4 (0.99) and gained at 8 (0.95).
 MIN_SHARD_VALUES = 400_000
 
 # A pipe's capacity on Linux: a child writes its small payloads this many

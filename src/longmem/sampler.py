@@ -46,9 +46,15 @@ SEED_LIMIT = 2**64
 BLAS_DOT_MAX = 10_000
 
 # Bytes of one block's complex128 (rows, rn) array, the complex route's
-# transform: a block holds as many replicates as fit, and at least one (so
-# one at rn = 200001).
-CHUNK_BYTES = 100_000
+# transform: a block holds as many replicates as fit, and at least one.  Each
+# block pays a fixed cost in numpy calls, and holds about 2.1 budgets of
+# temporaries for study, 2.6 for hist.  run_study(2.2, 200, 20000, 5,
+# workers=1) in-process, median of 9 alternating rounds on a 2-core Xeon:
+# 0.429 s at 0.1 MB, 0.379 at 0.2, 0.347 at 0.4, 0.314 at 0.8, 0.319 at 1.6,
+# 0.316 at 3.2 and 0.330 at 6.4.  0.8 MB, the smallest budget on that
+# plateau, is 248 replicates at rn = 201; below 16 * 200001 bytes, it draws
+# hist-wide's rows one a block.
+CHUNK_BYTES = 800_000
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
 # 128-bit LCG multiplier.

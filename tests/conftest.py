@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -17,16 +18,64 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "block_budget(bytes): run the test at sampler.CHUNK_BYTES = bytes")
+
+
+@pytest.fixture(autouse=True)
+def block_budget(request, monkeypatch):
+    """The engine's block budget, ``sampler.CHUNK_BYTES``, that a test marked
+    ``@pytest.mark.block_budget(bytes)`` states: set to ``bytes`` for the
+    test and returned, for the test to pass on to any Python process it
+    starts.  An unmarked test runs at the default budget and gets None.
+
+    A test that counts forks, shards or blocks states the budget that its
+    counts follow; at 100_000 bytes a block holds 31 replicates at
+    rn = 201."""
+    marker = request.node.get_closest_marker("block_budget")
+    if marker is None:
+        return None
+    from longmem import sampler
+
+    budget, = marker.args
+    monkeypatch.setattr(sampler, "CHUNK_BYTES", budget)
+    return budget
+
+
+def children():
+    """Pids of this process's children, running or zombies, from
+    ``/proc/self/task/*/children`` (one such file per thread); None where
+    the kernel provides no such file."""
+    files = list(Path("/proc/self/task").glob("*/children"))
+    if not files:
+        return None
+    pids = set()
+    for path in files:
+        try:
+            pids.update(map(int, path.read_text().split()))
+        except FileNotFoundError:  # a thread that has exited since
+            continue
+    return sorted(pids)
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process of this one unreaped, running
-    or a zombie."""
+    or a zombie, after killing and reaping every child, so that one leak
+    fails one test and not every test after it.  Where the kernel does not
+    list a process's children, the child is left as it is."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         return
-    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid})")
+    left = children() or []
+    for child in left:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid}; "
+                f"killed and reaped {left})")
 
 
 def split_small_runs(monkeypatch, after_fork=None):

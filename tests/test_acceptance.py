@@ -178,6 +178,7 @@ def test_c7_oracle_equivalence():
     )
 
 
+@pytest.mark.block_budget(100_000)
 def test_c8_property_suite(monkeypatch):
     rng = np.random.default_rng(42)
     ok = True

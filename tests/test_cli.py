@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from longmem.sampler import GENERATOR
 from longmem.spectral import build_model, eigen_report
 
 GOLDEN = Path(__file__).parent / "golden"
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_cli(*args, env_extra=None):
@@ -395,6 +397,7 @@ class TestHist:
         )
         assert result.stdout == (GOLDEN / "hist_beta10_n40_r30.csv").read_text()
 
+    @pytest.mark.block_budget(100_000)
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_split_over_children_gives_the_same_bytes(self, fmt, capsys, monkeypatch):
         # 100 replicates at rn = 201 are 4 blocks; with small shards, two
@@ -436,6 +439,7 @@ class TestHist:
         assert cli.main(argv) == 0
         assert alive == [kept]  # one draw: 4 replicates at rn = 21 are one block
 
+    @pytest.mark.block_budget(100_000)
     def test_pools_one_block_per_item(self, monkeypatch):
         # rn = 201 gives blocks of 100_000 // (16 * 201) = 31 replicates.
         accumulate, shapes, pooled = cli.accumulate_histogram, [], []
@@ -883,8 +887,8 @@ class TestProcesses:
         ("spectrum", "--beta", "2.2", "--n", "200"),
         ("eigen", "--beta", "2.2", "--n", "200"),
         ("hist", "--beta", "2.2", "--n", "200", "--replicates", "100"),
-        # 65 blocks, split over two processes
-        ("study", "--beta", "2.2", "--n", "200", "--replicates", "2000"),
+        # 804,000 series values, split over two processes
+        ("study", "--beta", "2.2", "--n", "200", "--replicates", "4000"),
     ], ids=lambda args: args[0])
     def test_command_leaves_its_process_group_empty(self, args):
         with subprocess.Popen([sys.executable, "-c", TWO_CPUS, *args], stdout=subprocess.PIPE,
@@ -923,10 +927,10 @@ class TestProcesses:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs sched_setaffinity and two CPUs")
     def test_one_cpu_study_does_not_fork_with_the_same_bytes(self):
-        # 2000 replicates at rn = 201: 65 blocks, split over two processes
-        # on two CPUs.  One BLAS thread in both runs, as in
+        # 4000 replicates at rn = 201, 804,000 series values, split over two
+        # processes on two CPUs.  One BLAS thread in both runs, as in
         # test_one_cpu_renders_inline_with_the_same_bytes.
-        args = ["study", "--beta", "2.2", "--n", "200", "--replicates", "2000"]
+        args = ["study", "--beta", "2.2", "--n", "200", "--replicates", "4000"]
         blas = {"OPENBLAS_NUM_THREADS": "1"}
         cpu = min(os.sched_getaffinity(0))
         one = subprocess.run([sys.executable, "-c", NO_FORK, *args], capture_output=True,
@@ -994,7 +998,82 @@ class TestChunkedReplicates:
         assert len(sizes) >= 3 and sizes[-1] < sizes[0]
 
 
+def console_script():
+    """The ``longmem`` script as pip writes it for the entry point that
+    pyproject.toml declares."""
+    module, name = re.search(r'^longmem = "([\w.]+):(\w+)"$', PYPROJECT.read_text(),
+                             re.MULTILINE).groups()
+    return f"import sys\nfrom {module} import {name}\nsys.exit({name}())"
+
+
+# The two ways the command line runs as a program, and cli.main alone, whose
+# heap teardown scans in full.
+LAUNCHERS = {
+    "module": ["-m", "longmem"],
+    "script": ["-c", console_script()],
+    "main": ["-c", "import sys\nfrom longmem.cli import main\nsys.exit(main())"],
+}
+
+
 class TestConsoleEntry:
+    @pytest.mark.parametrize("args, code", [
+        # 13 CSV chunks on stdout, all flushed after the heap is frozen.
+        (("generate", "--beta", "2.2", "--n", "200000"), 0),
+        (("eigen", "--beta", "2.2", "--n", "200", "--output", "no/such/dir/out.csv"), 1),
+        (("eigen", "--beta", "nan", "--n", "200"), 2),
+    ], ids=["0", "1", "2"])
+    def test_launchers_agree(self, args, code, tmp_path):
+        results = {name: subprocess.run([sys.executable, *launcher, *args], capture_output=True,
+                                        env=child_env(), cwd=tmp_path)
+                   for name, launcher in LAUNCHERS.items()}
+        main = results.pop("main")
+        assert main.returncode == code
+        assert main.stdout or main.stderr
+        for result in results.values():
+            assert (result.returncode, result.stdout, result.stderr) == (
+                main.returncode, main.stdout, main.stderr)
+
+    @pytest.mark.parametrize("launcher", ["module", "script"])
+    def test_interrupt_exits_130(self, launcher, tmp_path):
+        target = tmp_path / "out.csv"
+        with subprocess.Popen(
+            [sys.executable, *LAUNCHERS[launcher], "generate", "--beta", "2.2", "--n", "200000",
+             "--output", str(target)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as child:
+            # Interrupt once the new file beside the target holds the first chunk.
+            while not any(path.stat().st_size for path in tmp_path.iterdir()):
+                assert child.poll() is None
+                time.sleep(0.001)
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=60)
+        assert child.returncode == 130
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "KeyboardInterrupt"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("outcome", [0, 1, SystemExit(2)], ids=["0", "1", "usage"])
+    def test_entry_freezes_the_heap_once_main_is_done(self, outcome, monkeypatch):
+        events = []
+
+        def main():
+            events.append("main")
+            if isinstance(outcome, SystemExit):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(cli, "main", main)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+        if isinstance(outcome, SystemExit):
+            with pytest.raises(SystemExit) as exited:
+                cli.entry()
+            assert exited.value is outcome
+        else:
+            assert cli.entry() == outcome
+        assert events == ["main", "freeze"]
+
     def test_module_main_and_package_main_agree(self):
         direct = subprocess.run(
             [sys.executable, "-m", "longmem.cli", "spectrum", "--beta", "1", "--n", "5"],

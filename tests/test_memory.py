@@ -6,6 +6,7 @@ replicate block reuses the previous block's transform buffers instead of
 page-faulting them in again; a split run returns that free heap before it
 forks, so its children do not inherit it."""
 
+import operator
 import platform
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import types
 import pytest
 from conftest import child_env, split_small_runs
 
-from longmem import RngStream, _malloc, build_model, cli, generate, montecarlo
+from longmem import RngStream, _malloc, build_model, cli, generate, montecarlo, sampler
 
 GLIBC = platform.libc_ver()[0] == "glibc"
 
@@ -47,6 +48,7 @@ def test_transform_buffers_are_not_faulted_in_again():
     assert int(result.stdout) < 500
 
 
+@pytest.mark.block_budget(100_000)
 def test_missing_mallopt_changes_nothing(monkeypatch, capsys):
     # hist on one process, then split over two children after the trim.
     runs = [["hist", "--beta", "2.2", "--n", "21", "--replicates", "3"],
@@ -74,11 +76,12 @@ def test_missing_mallopt_changes_nothing(monkeypatch, capsys):
 
 # A hist run in a fresh interpreter that prints, in order, each model build,
 # trim and fork of this process; a trim also prints whether numpy.random is
-# imported yet.  The first argument is the shard size in series values.
+# imported yet.  The arguments are the shard size in series values and the
+# block budget.
 TRIM_ORDER = """
 import os, sys
-from longmem import _malloc, cli, montecarlo
-montecarlo.MIN_SHARD_VALUES = int(sys.argv[1])
+from longmem import _malloc, cli, montecarlo, sampler
+montecarlo.MIN_SHARD_VALUES, sampler.CHUNK_BYTES = map(int, sys.argv[1:])
 cli._workers = lambda: 2
 events, build, fork = [], montecarlo.build_model, os.fork
 
@@ -100,12 +103,13 @@ print(code, *events)
 """
 
 
+@pytest.mark.block_budget(100_000)
 @pytest.mark.parametrize("shard, events", [
     (1, "0 build trim False fork fork"),
     (montecarlo.MIN_SHARD_VALUES, "0 build"),
 ])
-def test_split_run_trims_once_before_it_forks(shard, events):
-    result = subprocess.run([sys.executable, "-c", TRIM_ORDER, str(shard)],
+def test_split_run_trims_once_before_it_forks(shard, events, block_budget):
+    result = subprocess.run([sys.executable, "-c", TRIM_ORDER, str(shard), str(block_budget)],
                             capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == events.split()
@@ -127,3 +131,28 @@ def test_transform_peak_per_point(call):
     finally:
         tracemalloc.stop()
     assert peak / 21021 < 52
+
+
+# tracemalloc's peak, over the budget, of one full engine block at rn = 201
+# reduced to study's or hist's payload: about 2.1 and 2.6 budgets.  The
+# block's complex transform takes one budget, its noise and series half a
+# budget each, and hist's standardized rows half a budget more.
+@pytest.mark.parametrize("payload, bound", [
+    (montecarlo._measurements, 2.25),
+    (operator.attrgetter("standardized"), 2.75),
+], ids=["study", "hist"])
+def test_block_peak_per_budget(payload, bound):
+    model = build_model(2.2, 200)
+    rows = sampler.block_rows(model.rn)
+
+    def call():
+        payload(next(sampler.replicate_blocks(model, 5, rows)))
+
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / sampler.CHUNK_BYTES < bound

@@ -38,6 +38,7 @@ class TestDeterminism:
         b = run_study(2.2, 40, replicates=40, seed=5)
         assert _report_floats(a) == _report_floats(b)
 
+    @pytest.mark.block_budget(100_000)
     def test_worker_count_does_not_change_results(self, monkeypatch):
         # 200 replicates at rn = 201 are 7 blocks of up to 31 rows: 2, 3 and
         # 4 workers split them into shards of 4 + 3, 3 + 3 + 1 and
@@ -55,6 +56,7 @@ class TestDeterminism:
 
     # 500 replicates at rn = 41 on the dense route are 4 blocks of up to 152
     # rows; 40 at rn = 1019 on the padded route are 7 blocks of up to 6.
+    @pytest.mark.block_budget(100_000)
     @pytest.mark.parametrize("n, replicates, dense, forks_by_workers", [
         (40, 500, True, {2: 2, 3: 2, 4: 4}),
         (1018, 40, False, {2: 2, 3: 3, 4: 4}),
@@ -72,23 +74,25 @@ class TestDeterminism:
 
     def test_shards_repay_their_fork(self):
         # A shard holds MIN_SHARD_VALUES = 400,000 series values or more.  At
-        # rn = 201 (blocks of 31): 500 and 2000 replicates (100,500 and
-        # 402,000 values) stay in one process, 4000 (804,000) split in two.
+        # rn = 201 (blocks of 248 at the default budget): 500 and 2000
+        # replicates (100,500 and 402,000 values) stay in one process, 4000
+        # (804,000, 17 blocks) split in two.
         assert montecarlo.MIN_SHARD_VALUES == 400_000
         assert montecarlo._shards(500, 201, 2) == [(0, 500)]
         assert montecarlo._shards(2000, 201, 2) == [(0, 2000)]
-        assert montecarlo._shards(4000, 201, 4) == [(0, 65 * 31), (65 * 31, 4000)]
-        # study-many keeps its two 323-block shards.
-        assert montecarlo._shards(20000, 201, 2) == [(0, 323 * 31), (323 * 31, 20000)]
+        assert montecarlo._shards(4000, 201, 4) == [(0, 9 * 248), (9 * 248, 4000)]
+        # study-many's 81 blocks split 41 + 40.
+        assert montecarlo._shards(20000, 201, 2) == [(0, 41 * 248), (41 * 248, 20000)]
         # Blocks of one replicate follow the same rule: at rn = 200001, 40
-        # replicates (hist-wide) and 4 split in two, 3 stay whole; at
-        # rn = 5001, 159 stay whole and 160 split.
+        # replicates (hist-wide) and 4 split in two, 3 stay whole.  At
+        # rn = 5001 (blocks of 9), 159 stay whole and 160 split.
         assert montecarlo._shards(40, 200_001, 2) == [(0, 20), (20, 40)]
         assert montecarlo._shards(4, 200_001, 2) == [(0, 2), (2, 4)]
         assert montecarlo._shards(3, 200_001, 2) == [(0, 3)]
         assert montecarlo._shards(159, 5001, 2) == [(0, 159)]
-        assert montecarlo._shards(160, 5001, 2) == [(0, 80), (80, 160)]
+        assert montecarlo._shards(160, 5001, 2) == [(0, 9 * 9), (9 * 9, 160)]
 
+    @pytest.mark.block_budget(100_000)
     def test_shards_are_whole_blocks(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "MIN_SHARD_VALUES", 1)
         # 200 replicates in blocks of 31: 7 blocks, the last of 14.
@@ -167,9 +171,10 @@ class TestReplicateSamples:
         assert [block.start for block in blocks] == [4, 6, 8]
         assert np.array_equal(np.vstack([block.series for block in blocks]), everything[4:])
 
+    @pytest.mark.block_budget(100_000)
     def test_padded_route_row_is_generate(self):
-        # rn = 1019 is prime: the padded route, 6 rows per block at the
-        # default budget, so 8 replicates span two blocks.
+        # rn = 1019 is prime: the padded route, 6 rows per block at this
+        # budget, so 8 replicates span two blocks.
         model = build_model(2.2, 1018)
         assert convolution_operator(model.first_row).length == transform_length(model.rn) > model.rn
         blocks = list(replicate_blocks(model, 7, 8))
@@ -529,6 +534,7 @@ STOPS = pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGINT, None],
                                 ids=["kill", "int", "memory"])
 
 
+@pytest.mark.block_budget(100_000)
 class TestSplitStudy:
     """A study split over processes fails as one process does, naming the
     first failing replicate in stream order; it measures here each block
@@ -692,6 +698,7 @@ def _values(workers, replicates=200):
     return np.sort(np.concatenate(arrays)), len(arrays)
 
 
+@pytest.mark.block_budget(100_000)
 class TestSplitHist:
     """``standardized_blocks`` split over processes yields every value of
     one process once, block by block, bins nothing in a child, fails as one
@@ -777,6 +784,7 @@ class TestComputesOnlyWhatItReads:
     """The study reads each block's series alone, so it standardizes
     nothing, in this process or in a child; ``hist`` standardizes."""
 
+    @pytest.mark.block_budget(100_000)
     def test_study_never_standardizes(self, monkeypatch):
         serial = _report_floats(run_study(2.2, 200, 64, 5))
 

@@ -96,24 +96,38 @@ class TestStreamKeyer:
             np.testing.assert_array_equal(noise[k], stream.generator().standard_normal(7))
 
 
+def test_block_rows_at_the_default_budget():
+    # 248 replicates a block at study's rn = 201, and one at hist-wide's
+    # rn = 200001, whose complex row alone takes 3.2 MB.
+    assert sampler.CHUNK_BYTES == 800_000
+    assert [sampler.block_rows(rn) for rn in (201, 2001, 20001, 200_001)] == [248, 24, 2, 1]
+
+
 @functools.cache
-def _row_norms_printed(threads):
-    """What :attr:`TestRowNorms.SCRIPT` prints at ``threads`` OpenBLAS threads,
-    in a child process: the count is read at load time."""
-    result = subprocess.run([sys.executable, "-c", TestRowNorms.SCRIPT], capture_output=True,
+def _row_norms_printed(threads, budget):
+    """What :attr:`TestRowNorms.SCRIPT` prints at ``threads`` OpenBLAS threads
+    and block budget ``budget``, in a child process: the count is read at
+    load time."""
+    result = subprocess.run([sys.executable, "-c", TestRowNorms.SCRIPT, str(budget)],
+                            capture_output=True,
                             text=True, env=child_env(OPENBLAS_NUM_THREADS=threads))
     assert result.returncode == 0, result.stderr
     return result.stdout
 
 
+@pytest.mark.block_budget(100_000)
 class TestRowNorms:
     # Each row's norm, and the standardized rows of two replicates at
-    # rn = 20001, where OpenBLAS would split a dot over its threads.
+    # rn = 20001, where OpenBLAS would split a dot over its threads, in
+    # blocks of one.
     SCRIPT = textwrap.dedent("""
         import hashlib
+        import sys
         import numpy as np
+        from longmem import sampler
         from longmem.sampler import BLAS_DOT_MAX, _row_norms, replicate_blocks
         from longmem.spectral import build_model
+        sampler.CHUNK_BYTES = int(sys.argv[1])
         rng = np.random.default_rng(3)
         for rn in (3, 201, BLAS_DOT_MAX, BLAS_DOT_MAX + 2, 200_001, 999_999):
             block = rng.standard_normal((3, rn)) * np.array([[1e-3], [1.0], [1e3]])
@@ -129,13 +143,14 @@ class TestRowNorms:
     """)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_batched_norm_is_the_per_row_norm(self, threads):
+    def test_batched_norm_is_the_per_row_norm(self, threads, block_budget):
         # Up to BLAS_DOT_MAX points the BLAS dot's bits, which generate keeps
         # at every length; a row's norm never depends on its block.
-        assert _row_norms_printed(threads).count("\n") == 6 + 2
+        assert _row_norms_printed(threads, block_budget).count("\n") == 6 + 2
 
-    def test_norms_do_not_depend_on_the_thread_count(self):
-        assert _row_norms_printed("1") == _row_norms_printed("2") == _row_norms_printed("4")
+    def test_norms_do_not_depend_on_the_thread_count(self, block_budget):
+        assert (_row_norms_printed("1", block_budget) == _row_norms_printed("2", block_budget)
+                == _row_norms_printed("4", block_budget))
 
 
 class TestGenerate:
