@@ -12,24 +12,25 @@ places, NUL bytes between them, and the separator (``,`` or ``\\n``), so
 keeping the matrix's nonzero bytes gives the chunk's text.
 
 Floats.  With X = floor(log10 |x|), the 17 significant digits of x are
-D = round(|x|·10^(16-X)), in [10^16, 10^17).  The scaled value t is one
-``longdouble`` product of |x| and the nearest ``longdouble`` to 10^(16-X).
-Let ulp be the spacing of ``longdouble`` values at t and eps the type's
-machine epsilon.  The power's relative error, at most eps/2, moves the
-product by less than one ulp; rounding the product adds half an ulp.  So t
-is within 1.5 ulp of the exact value, and frac(t) - 1/2 is a whole
-multiple of ulp.  A cell more than t·eps (at least one ulp) from a tie is
-then at least two ulps from it, and rounding t gives the exact D.  A cell
-within ``TIE_WINDOW``·t of a tie (about 1% of cells with x86's 80-bit
-``longdouble``) is formatted by Python, as are NaN, ±inf and ±0.  X is
-estimated once: where log10 comes out one too high just below a power of
-ten, t falls below 10^16 and the cell goes to Python too.  It does not come
-out too low next to a power of ten, so t < 10^17, and no cell carries:
-round(t) = 10^17 needs |x| within 5e-18 (relative) below some 10^k with
-X = k - 1, which only the double nearest 10^k can be, and log10 gives
-each such double k.  The tests check both at every k.  Where
-``longdouble`` is ``float64`` the window is wider than one half, so every
-float cell takes Python's path and the bytes are the same.
+D = round(t) for t = |x|·10^(16-X), in [10^16, 10^17).  A table holds each
+power 10^k as two doubles: hi, the nearest to 10^k, and lo, the nearest to
+10^k - hi, so |10^k - hi - lo| <= 2^-106·10^k.  Dekker's split of |x| and
+hi into halves of 26 bits makes the four partial products exact, so his
+TwoProduct gives p = fl(|x|·hi) and its rounding error e exactly; then
+r = fl(e + fl(|x|·lo)).  Every step is a numpy ufunc of its own, rounded
+once, with no fused multiply-add.  p >= 2^53 is a whole number and |r| <
+32, and the three roundings left (the table's, |x|·lo's and r's) keep
+|t - (p + r)| below 5e-15.  So D = p + floor(r) + (frac(r) > 1/2) is exact
+wherever frac(r) lies more than ``TIE_WINDOW`` = 2^-40 from one half.  The
+cells inside that window, in practice the exact ties that ``%.17g`` breaks
+to even, are formatted by Python, as are NaN, ±inf, ±0 and |x| outside
+[1e-283, 1e299], where the split or the table would leave float64's range.
+X is estimated once: where log10 comes out one too high just below a power
+of ten, t falls below 10^16 and the cell goes to Python too.  It does not
+come out too low next to a power of ten, so t < 10^17, and no cell
+carries: round(t) = 10^17 needs |x| within 5e-18 (relative) below some 10^k
+with X = k - 1, which only the double nearest 10^k can be, and log10 gives
+each such double k.  The tests check both at every k.
 
 A float cell is laid out as ``%g`` does: fixed notation for -4 <= X < 17,
 ``d.ddde±XX`` otherwise, trailing zeros of the fraction stripped.  The 17
@@ -42,24 +43,30 @@ word of its own.
 from __future__ import annotations
 
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
-# Relative half-width of the window around a rounding tie in which a float
-# cell is left to Python (see the module docstring for the bound).
-TIE_WINDOW = float(np.finfo(np.longdouble).eps)
+# Half-width of the window around one half in which frac(r) leaves a float
+# cell to Python: well above the 5e-15 bound on |t - (p + r)| (see the
+# module docstring), and narrow enough that in practice only exact ties
+# fall inside it.
+TIE_WINDOW = 2.0 ** -40
+# |x| outside [_SMALLEST, _LARGEST] goes to Python: X then lies in [-283,
+# 299], or -284 should log10 round down, so 10^(16-X) <= 1e300 and neither
+# factor's split overflows.
+_SMALLEST = 1e-283
+_LARGEST = 1e299
+_SPLIT = 2.0 ** 27 + 1                # Dekker's splitter for float64
 
-_POW_OFFSET = 400                     # powers[_POW_OFFSET + k] ~ 10**k
+# hi[_POW_OFFSET + k] + lo[_POW_OFFSET + k] ~ 10**k, -_POW_OFFSET <= k <= _POW_TOP.
+_POW_OFFSET = 283
+_POW_TOP = 300
 _EXP_OFFSET = 325                     # exponents[_EXP_OFFSET + X] = "e±XX"
 _NO_EXP = 0                           # exponents[_NO_EXP] is empty
 _MINUS = ord("-")
 _FLOAT_WORDS = 4                      # 24 bytes of sign and digits, 8 of suffix and separator
-
-
-def _word(text):
-    """``text`` (at most 8 bytes), NUL-padded, as a little-endian word."""
-    return int.from_bytes(text.encode("ascii").ljust(8, b"\0"), "little")
 
 
 def _string_words(strings):
@@ -70,7 +77,7 @@ def _string_words(strings):
 
 @functools.cache
 def _tables():
-    """Lookup tables, built on first use (1.5 ms)."""
+    """Lookup tables, built on first use (0.5 ms)."""
     # packed[q]: the 4 digits of q in 0..9999 as ASCII bytes, little-endian.
     quad = np.arange(10000, dtype=np.uint32)
     digits = [quad // 1000, quad // 100 % 10, quad // 10 % 10, quad % 10]
@@ -88,17 +95,35 @@ def _tables():
     marks = _string_words([b""] + [bytes(1 + m) + b"." for m in range(1, 17)]
                           + [b"\0" + b"0." + b"0" * (z - 1) for z in range(1, 5)])
     # float64 exponents run from -324 (subnormals) to 308.
-    exponents = np.zeros(_EXP_OFFSET + 309, dtype=np.uint64)
-    for x in range(1 - _EXP_OFFSET, 309):
-        if not -4 <= x < 17:
-            exponents[_EXP_OFFSET + x] = _word("e%+03d" % x)
-    powers = np.array(["1e%d" % k for k in range(-_POW_OFFSET, _POW_OFFSET + 1)],
-                      dtype=np.longdouble)
-    # Where longdouble is float64, powers past its range read 0 rather than
-    # inf: t = 0 misses [10^16, 10^17), so the cell goes to Python.
-    powers[np.isinf(powers)] = 0
+    exponents = np.array([b""] + [b"" if -4 <= x < 17 else b"e%+03d" % x
+                                  for x in range(1 - _EXP_OFFSET, 309)], dtype="S8").view(np.uint64)
+    # 10**k = hi + lo for the k of every |x| in [_SMALLEST, _LARGEST]: hi
+    # = a / b (b a power of two) is the nearest double, and lo the nearest to
+    # the rest, both by correctly rounded int-to-float conversion or division.
+    hi, lo = [], []
+    power = 10 ** _POW_OFFSET
+    for _ in range(_POW_OFFSET):
+        hi.append(1 / power)
+        a, b = hi[-1].as_integer_ratio()
+        # (b - a * power) / (b * power), then the exact division by b.
+        lo.append(math.ldexp((b - a * power) / power, 1 - b.bit_length()))
+        power //= 10
+    for _ in range(_POW_TOP + 1):
+        hi.append(float(power))
+        lo.append(float(power - int(hi[-1])))
+        power *= 10
     return SimpleNamespace(packed=packed, wide=packed.astype(np.uint64), places=places,
-                           spans=spans, marks=marks, exponents=exponents, powers=powers)
+                           spans=spans, marks=marks, exponents=exponents,
+                           hi=np.array(hi), lo=np.array(lo))
+
+
+def _split(a):
+    """Dekker's split of ``a`` into ``high + low``, two doubles of at most 26
+    significant bits each, so that products of halves are exact."""
+    high = a * _SPLIT
+    low = high - a
+    high -= low
+    return high, np.subtract(a, high, out=low)
 
 
 def _float_slots(values, words, sep):
@@ -107,20 +132,47 @@ def _float_slots(values, words, sep):
     separator."""
     tab = _tables()
     magnitude = np.abs(values)
-    exact = np.isfinite(magnitude) & (magnitude != 0)
-    magnitude[~exact] = 1.0
+    exact = (magnitude >= _SMALLEST) & (magnitude <= _LARGEST)
+    np.copyto(magnitude, 1.0, where=~exact)
     exponent = np.floor(np.log10(magnitude)).astype(np.intp)
-    t = magnitude.astype(np.longdouble) * tab.powers[_POW_OFFSET + 16 - exponent]
-    whole = t.astype(np.uint64)
-    # frac(t) - 1/2 is a multiple of ulp(t), so float64 holds it exactly
-    # wherever it is near the bound, and float64(floor t) * TIE_WINDOW lies
-    # in [ulp(t), 2 ulp(t)] as t * eps does.
-    half = ((t - whole.astype(np.longdouble)) - 0.5).astype(np.float64)
-    exact &= np.abs(half) > whole.astype(np.float64) * TIE_WINDOW
-    digits = whole + (half > 0)
+    power = _POW_OFFSET + 16 - exponent
+    hi = np.take(tab.hi, power)
+    lo = np.take(tab.lo, power)
+    del power
+    # t = p + r: r starts as the rounding error of p = magnitude * hi, which
+    # Dekker's TwoProduct sums exactly from the halves' products, in his
+    # order; magnitude * lo is then added.  Temporaries are reused in place.
+    mh, ml = _split(magnitude)
+    hh, hl = _split(hi)
+    p = magnitude * hi
+    del hi
+    r = mh * hh
+    r -= p
+    mh *= hl
+    r += mh
+    hh *= ml
+    r += hh
+    ml *= hl
+    r += ml
+    del mh, ml, hh, hl
+    lo *= magnitude
+    r += lo
+    del lo
+    # p is whole, so floor(t) = p + floor(r) and D adds frac(r) > 1/2.
+    whole = np.floor(r)
+    half = np.subtract(r, whole, out=r)
+    half -= 0.5
+    exact &= np.abs(half) > TIE_WINDOW
+    digits = p.astype(np.int64)
+    del p
+    digits += whole.astype(np.int64)
+    del whole
     # X is estimated once: t falls below 10^16 where log10 came out one too
     # high next to a power of ten, and the cell goes to Python.
-    exact &= whole >= 10 ** 16
+    exact &= digits >= 10 ** 16
+    digits += half > 0
+    del half
+    digits = digits.view(np.uint64)
     digits[~exact] = 10 ** 16
     exponent[~exact] = 0
 
@@ -133,14 +185,14 @@ def _float_slots(values, words, sep):
     high, middle = high.astype(np.uint32), middle.astype(np.uint32)
     q0, q2 = high // 10 ** 4, middle // 10 ** 4
     groups = (q0, high - q0 * 10 ** 4, q2, middle - q2 * 10 ** 4)
-    quads = [tab.wide[group] for group in groups]
+    quads = [np.take(tab.wide, group) for group in groups]
     text = ((quads[0] << np.uint64(8)) | (quads[1] << np.uint64(40)),
             (quads[1] >> np.uint64(24)) | (quads[2] << np.uint64(8)) | (quads[3] << np.uint64(40)),
             (quads[3] >> np.uint64(24)) | ((last + np.uint64(ord("0"))) << np.uint64(8)))
     # Significant digits once trailing zeros are stripped.
     kept = np.where(last != 0, 17, 1).astype(np.uint8)
     for place, group in zip(tab.places, groups):
-        np.maximum(kept, place[group], out=kept)
+        np.maximum(kept, np.take(place, group), out=kept)
     kept = kept.astype(np.intp)
 
     # After the sign come the first ``before`` digits, then the digits up
@@ -154,12 +206,12 @@ def _float_slots(values, words, sep):
     move = ((zeros + 1) * 8).astype(np.uint64)
     carry = 0
     for w in range(3):
-        moved = text[w] & tab.spans[w][tail]
-        words[:, w] = ((text[w] & tab.spans[w][before]) | (moved << move) | carry
-                       | tab.marks[w][mark])
+        moved = text[w] & np.take(tab.spans[w], tail)
+        words[:, w] = ((text[w] & np.take(tab.spans[w], before)) | (moved << move) | carry
+                       | np.take(tab.marks[w], mark))
         carry = moved >> (np.uint64(64) - move)
     words[:, 0] |= np.signbit(values) * np.uint64(_MINUS)
-    suffix = tab.exponents[np.where(fixed, _NO_EXP, exponent + _EXP_OFFSET)]
+    suffix = np.take(tab.exponents, np.where(fixed, _NO_EXP, exponent + _EXP_OFFSET))
     words[:, 3] = suffix | np.uint64(ord(sep) << 56)
 
     rest = np.flatnonzero(~exact)

@@ -148,10 +148,11 @@ def generate(model, stream):
     # The rest of the model is freed here if the caller holds no reference.
     del model
     epsilon = draw_epsilon(stream, first_row.size)
-    series = circular_convolve(first_row, epsilon, dense=dense)
     # numpy's BLAS norms at any length, which bench/workloads.py recomputes
-    # to check the cosine column bit for bit.
+    # to check the cosine column bit for bit.  Taken before the transforms,
+    # so that the idle spin of BLAS's threads after its dot overlaps them.
     norms = np.linalg.norm(first_row) * np.linalg.norm(epsilon)[None]
+    series = circular_convolve(first_row, epsilon, dense=dense)
     block = _series_block(epsilon[None], series[None], norms, stream.seed, stream.stream_index)
     return block.sample(0)
 

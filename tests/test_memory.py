@@ -1,5 +1,5 @@
 """Memory: the CLI's allocator setting, the trim a split run makes before
-it forks, and the peak the model's transforms take.
+it forks, and the peaks the model's transforms and a CSV chunk take.
 
 ``cli.main`` has glibc's malloc keep freed blocks under 4 MiB mapped, so a
 replicate block reuses the previous block's transform buffers instead of
@@ -16,7 +16,7 @@ import types
 import pytest
 from conftest import child_env, split_small_runs
 
-from longmem import RngStream, _malloc, build_model, cli, generate, montecarlo, sampler
+from longmem import RngStream, _csv, _malloc, build_model, cli, generate, montecarlo, sampler
 
 GLIBC = platform.libc_ver()[0] == "glibc"
 
@@ -156,3 +156,21 @@ def test_block_peak_per_budget(payload, bound):
     finally:
         tracemalloc.stop()
     assert peak / sampler.CHUNK_BYTES < bound
+
+
+def test_csv_chunk_peak_per_row():
+    # tracemalloc's peak, in bytes a row, of rendering one full CSV chunk of
+    # generate's five columns: the bound cli.CSV_CHUNK_ROWS's comment gives.
+    # The float stage's temporaries are freed or reused as it goes.
+    config = types.SimpleNamespace(beta=2.2, n=cli.CSV_CHUNK_ROWS, seed=5, dense_oracle=False)
+    columns, _ = cli._cmd_generate(config)
+    chunk = next(cli._row_chunks(columns))
+    assert len(chunk[0]) == cli.CSV_CHUNK_ROWS
+    _csv.rows_text(chunk)
+    tracemalloc.start()
+    try:
+        _csv.rows_text(chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / cli.CSV_CHUNK_ROWS < 390

@@ -212,6 +212,21 @@ class TestGenerate:
         norms = np.linalg.norm(model.first_row) * np.linalg.norm(sample.epsilon)
         np.testing.assert_allclose(sample.cosvec * norms, sample.series, rtol=1e-12)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_norms_come_before_the_convolution(self, monkeypatch, dense):
+        # BLAS's threads spin on after the norms' dots; taken first, that
+        # spin overlaps the transforms instead of what follows generate.
+        calls = []
+        norm, convolve = np.linalg.norm, sampler.circular_convolve
+
+        def recorded(name, call):
+            return lambda *args, **kwargs: calls.append(name) or call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", recorded("norm", norm))
+        monkeypatch.setattr(sampler, "circular_convolve", recorded("convolve", convolve))
+        generate(build_model(2.2, 200, dense=dense), RngStream(seed=5))
+        assert calls == ["norm", "norm", "convolve"]
+
     def test_standardized_endpoints_exact(self):
         model = build_model(2.2, 200)
         for i in range(5):
