@@ -37,7 +37,7 @@ from ._checks import real, whole
 from ._csv import rows_text
 from .errors import InsufficientDataError, LongmemError
 from .estimators import DEFAULT_BIN_COUNT, MIN_BIN_COUNT, accumulate_histogram, fit_alpha_from_histogram
-from .montecarlo import MIN_REPLICATES, run_study, standardized_blocks
+from .montecarlo import MIN_HIST_REPLICATES, MIN_REPLICATES, run_study, standardized_blocks
 from .sampler import GENERATOR, SEED_LIMIT, RngStream, generate
 from .spectral import BETA_MAX, BETA_MIN, N_MIN, build_model, eigen_report, realized_length
 
@@ -85,8 +85,7 @@ beta_flag = flag_type(float, real, "beta", low=BETA_MIN, high=BETA_MAX)
 n_flag = flag_type(int, whole, "n", minimum=N_MIN)
 seed_flag = flag_type(int, whole, "seed", limit=SEED_LIMIT)
 study_replicates_flag = flag_type(int, whole, "replicates", minimum=MIN_REPLICATES)
-# accumulate_histogram pools at least one replicate.
-hist_replicates_flag = flag_type(int, whole, "replicates", minimum=1)
+hist_replicates_flag = flag_type(int, whole, "replicates", minimum=MIN_HIST_REPLICATES)
 bins_flag = flag_type(int, whole, "bins", minimum=MIN_BIN_COUNT)
 
 

@@ -44,6 +44,8 @@ from .sampler import SEED_LIMIT, block_rows, generate, replicate_blocks  # noqa:
 from .spectral import EigenReport, build_model, eigen_report
 
 MIN_REPLICATES = 2
+# accumulate_histogram pools at least one replicate.
+MIN_HIST_REPLICATES = 1
 MIN_WORKERS = 1
 
 # Series values (replicates * rn) a process must draw to repay its fork.
@@ -171,7 +173,7 @@ def standardized_blocks(beta, n, replicates, seed, workers=1, dense=False):
         While iterating, at the first replicate in stream order whose noise
         is constant, on any worker count.
     """
-    replicates = whole(replicates, "replicates", 1)
+    replicates = whole(replicates, "replicates", MIN_HIST_REPLICATES)
     seed = whole(seed, "seed", limit=SEED_LIMIT)
     workers = whole(workers, "workers", MIN_WORKERS)
     held = [build_model(beta, n, dense=dense)]

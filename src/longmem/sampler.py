@@ -47,8 +47,8 @@ BLAS_DOT_MAX = 10_000
 
 # Bytes of one block's complex128 (rows, rn) array, the complex route's
 # transform: a block holds as many replicates as fit, and at least one.  Each
-# block pays a fixed cost in numpy calls, and holds about 2.1 budgets of
-# temporaries for study, 2.6 for hist.  run_study(2.2, 200, 20000, 5,
+# block pays a fixed cost in numpy calls, and holds about 2.0 budgets of
+# temporaries for study, 2.1 for hist.  run_study(2.2, 200, 20000, 5,
 # workers=1) in-process, median of 9 alternating rounds on a 2-core Xeon:
 # 0.429 s at 0.1 MB, 0.379 at 0.2, 0.347 at 0.4, 0.314 at 0.8, 0.319 at 1.6,
 # 0.316 at 3.2 and 0.330 at 6.4.  0.8 MB, the smallest budget on that
@@ -153,8 +153,10 @@ def generate(model, stream):
     # so that the idle spin of BLAS's threads after its dot overlaps them.
     norms = np.linalg.norm(first_row) * np.linalg.norm(epsilon)[None]
     series = circular_convolve(first_row, epsilon, dense=dense)
-    block = _series_block(epsilon[None], series[None], norms, stream.seed, stream.stream_index)
-    return block.sample(0)
+    cosvec = _series_block(epsilon[None], series[None], norms, stream.stream_index).cosvec
+    return SeriesSample(epsilon=epsilon, series=series, cosvec=cosvec[0],
+                        standardized=_standardize_rows(cosvec)[0], seed=stream.seed,
+                        stream_index=stream.stream_index)
 
 
 @dataclass(frozen=True)
@@ -163,15 +165,13 @@ class SeriesBlock:
     array is the matching :class:`SeriesSample` field of stream
     ``(seed, start + k)``.
 
-    A block keeps what was drawn and computed: the noise, the series and
-    ``norms``, each row's product of 2-norms.  Its cosine and standardized
-    rows are derived from them on each read, so a consumer that reads only
-    the series computes neither."""
+    A block keeps what its readers read: the series and ``norms``, each
+    row's product of 2-norms.  Its noise is freed once the block is checked.
+    Its cosine and standardized rows are derived from them on each read, so
+    a consumer that reads only the series computes neither."""
 
-    epsilon: np.ndarray
     series: np.ndarray
     norms: np.ndarray
-    seed: int
     start: int
 
     @property
@@ -183,19 +183,6 @@ class SeriesBlock:
     def standardized(self):
         """Each row of :attr:`cosvec` mapped affinely onto [0, 1]."""
         return _standardize_rows(self.cosvec)
-
-    def sample(self, k):
-        """Row ``k`` as a :class:`SeriesSample` of views into this block's
-        arrays and its derived ones, the cosine derived once."""
-        cosvec = self.cosvec
-        return SeriesSample(
-            epsilon=self.epsilon[k],
-            series=self.series[k],
-            cosvec=cosvec[k],
-            standardized=_standardize_rows(cosvec)[k],
-            seed=self.seed,
-            stream_index=self.start + k,
-        )
 
 
 def block_rows(rn):
@@ -216,10 +203,10 @@ def replicate_blocks(model, seed, replicates, first=0):
     The convolution operator (:func:`~longmem.dft.convolution_operator`,
     which fixes the route) and the row's norm are computed once per call,
     after ``seed``, ``replicates`` and ``first`` are checked.  Each block is
-    checked (:func:`_series_block`) and holds its noise, series and norms;
-    its cosine and standardized rows are computed only by a consumer that
-    reads them.  A block holds no reference to the one before, so once its
-    consumer drops it only one block is alive.
+    checked (:func:`_series_block`) and holds its series and norms, not
+    its noise; its cosine and standardized rows are computed only by a
+    consumer that reads them.  A block holds no reference to the one before,
+    so once its consumer drops it only one block is alive.
 
     Raises
     ------
@@ -244,13 +231,14 @@ def _draw_block(operator, row_norm, keyer, rn, start, stop):
     no local there keeps the previous block alive while this one is drawn."""
     epsilon = _draw_noise(keyer, start, stop, rn)
     return _series_block(epsilon, convolve_rows(operator, epsilon), row_norm * _row_norms(epsilon),
-                         keyer.seed, start)
+                         start)
 
 
 def _draw_noise(keyer, start, stop, rn):
     """The ``(stop - start, rn)`` noise of replicates ``start .. stop - 1``:
-    row ``k`` is ``draw_epsilon(RngStream(keyer.seed, start + k), rn)`` bit
-    for bit.  The engine's one source of noise."""
+    row ``k`` is ``draw_epsilon(RngStream(seed, start + k), rn)`` bit for
+    bit, for the seed ``keyer`` was built from.  The engine's one source of
+    noise."""
     epsilon = np.empty((stop - start, rn))
     generator = keyer.generator
     bit_generator = generator.bit_generator
@@ -274,7 +262,6 @@ class _StreamKeyer:
     """
 
     def __init__(self, seed):
-        self.seed = seed
         # Unpadded, SeedSequence(seed) hashes zeros for the missing words,
         # so its pool is the padded pool a spawn key is mixed into.
         self.pool = np.random.SeedSequence(seed).pool
@@ -322,11 +309,12 @@ def _fold(words):
 
 
 @representable
-def _series_block(epsilon, series, norms, seed, start):
-    """The block of replicates ``start ..`` from their noise, series and
-    product of 2-norms (``norms``, one a row), once each row's cosine
-    vector, the series over its norms, is checked to lie in [-1, 1].  No
-    derived array is built here: the block derives them when they are read.
+def _series_block(epsilon, series, norms, start):
+    """The block of replicates ``start ..`` from their series and product of
+    2-norms (``norms``, one a row), once each row's noise is checked not to
+    be constant and its cosine vector, the series over its norms, to lie in
+    [-1, 1].  The block keeps no reference to the noise, and no derived
+    array is built here: the block derives them when they are read.
 
     The first row whose noise is constant raises ``DegenerateSampleError``,
     naming its stream.  The operator is a positive-definite circulant with
@@ -349,7 +337,7 @@ def _series_block(epsilon, series, norms, seed, start):
         raise InternalConsistencyError(
             f"cosine vector left [-1, 1]: max magnitude {float(worst[failed[0]])!r}"
         )
-    return SeriesBlock(epsilon=epsilon, series=series, norms=norms, seed=seed, start=start)
+    return SeriesBlock(series=series, norms=norms, start=start)
 
 
 def _row_norms(block):

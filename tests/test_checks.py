@@ -40,6 +40,8 @@ INTEGER_PARAMETERS = [
                  np.uint64(SEED_LIMIT - 1), id="run_study.seed"),
     pytest.param("seed", lambda v: standardized_blocks(2.2, 5, 2, v), [-1, SEED_LIMIT],
                  np.uint64(SEED_LIMIT - 1), id="standardized_blocks.seed"),
+    pytest.param("replicates", lambda v: standardized_blocks(2.2, 5, v, 5), [0, -1], np.int64(1),
+                 id="standardized_blocks.replicates"),
     (
         "bin_count",
         lambda v: accumulate_histogram([np.array([0.5])], bin_count=v),

@@ -91,18 +91,18 @@ def model_refs(monkeypatch, module):
 def assert_blocks_freed_in_turn(monkeypatch, module, command):
     """Run ``command`` at one replicate per block, with ``module``'s
     ``replicate_blocks`` and ``cli.accumulate_histogram``'s items tracked,
-    and check that each block's arrays, and the standardized array under
-    each item binned, are dead before the next block's noise is drawn.  A
-    block derives its cosine and standardized rows afresh on each read, so
-    only what it holds, and what its consumer is handed, can be kept
-    alive."""
+    and check that each block's noise and arrays, and the standardized
+    array under each item binned, are dead before the next block's noise is
+    drawn.  A block derives its cosine and standardized rows afresh on each
+    read, so only what it holds, and what its consumer is handed, can be
+    kept alive."""
     monkeypatch.setattr(sampler, "CHUNK_BYTES", 1)  # one replicate per block
     engine, draw, histogram = module.replicate_blocks, sampler._draw_noise, cli.accumulate_histogram
     arrays, drawn = [], []
 
     def tracked_blocks(*args, **kwargs):
         for block in engine(*args, **kwargs):
-            arrays.extend(weakref.ref(a) for a in (block.epsilon, block.series, block.norms))
+            arrays.extend(weakref.ref(a) for a in (block.series, block.norms))
             yield block
             del block
 
@@ -116,7 +116,9 @@ def assert_blocks_freed_in_turn(monkeypatch, module, command):
     def tracked_draw(keyer, start, stop, rn):
         assert all(ref() is None for ref in arrays)
         drawn.append((start, stop))
-        return draw(keyer, start, stop, rn)
+        noise = draw(keyer, start, stop, rn)
+        arrays.append(weakref.ref(noise))
+        return noise
 
     monkeypatch.setattr(module, "replicate_blocks", tracked_blocks)
     monkeypatch.setattr(cli, "accumulate_histogram",
@@ -124,7 +126,7 @@ def assert_blocks_freed_in_turn(monkeypatch, module, command):
     monkeypatch.setattr(sampler, "_draw_noise", tracked_draw)
     argv = [command, "--beta", "2.2", "--n", "20", "--replicates", "4", "--output", os.devnull]
     assert cli.main(argv) == 0
-    # Three arrays a block, and hist's binned item.
+    # Three arrays a block (its noise, series and norms), and hist's binned item.
     assert len(arrays) == 4 * (3 + (command == "hist"))
     assert drawn == [(0, 1), (1, 2), (2, 3), (3, 4)]  # the hook fired once per block
 
@@ -992,7 +994,7 @@ class TestChunkedReplicates:
     def test_goldens_span_blocks_at_the_default_budget(self, beta):
         # The 1000-replicate goldens cross at least two block boundaries and
         # end in a partial block.
-        sizes = [len(block.epsilon)
+        sizes = [len(block.series)
                  for block in sampler.replicate_blocks(build_model(beta, 200), 5, 1000)]
         assert sum(sizes) == 1000
         assert len(sizes) >= 3 and sizes[-1] < sizes[0]

@@ -277,6 +277,31 @@ class TestSumIdentityCheck:
         with pytest.raises(InternalConsistencyError, match="sum identity in row 2:"):
             convolve_rows(operator, block)
 
+    # The threshold, SUM_IDENTITY_TOL = 1e-12, within a factor of 2 either
+    # way on both routes: a gap of 2e-12 of row 2's scale, added to its first
+    # entry after the inverse transform, is refused, and one of 5e-13 passes.
+    # Rounding leaves about 1e-16 of the scale.
+    @pytest.mark.parametrize("gap, raises", [(2e-12, True), (5e-13, False)])
+    @pytest.mark.parametrize("rn", [63, 71], ids=["complex", "padded"])
+    def test_tolerance_is_pinned(self, rn, gap, raises, monkeypatch):
+        row, block = self.block(rn)
+        operator = convolution_operator(row)
+        scale = operator.row_abs_sum * np.abs(block[2]).sum()
+        inverse = "ifft" if operator.length == rn else "irfft"
+        transform = getattr(np.fft, inverse)
+
+        def shifted(spectrum, *args, **kwargs):
+            out = transform(spectrum, *args, **kwargs)
+            out[2, 0] += gap * scale
+            return out
+
+        monkeypatch.setattr(np.fft, inverse, shifted)
+        if raises:
+            with pytest.raises(InternalConsistencyError, match="sum identity in row 2:"):
+                convolve_rows(operator, block)
+        else:
+            assert convolve_rows(operator, block).shape == block.shape
+
     def test_complex_input_names_first_failing_row(self):
         row, block = self.block(63)
         block = block.astype(complex)

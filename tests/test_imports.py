@@ -54,8 +54,9 @@ def test_an_unused_import_is_caught():
 
 def unread_constants(package, sources):
     """``(module, line, name)`` of each module-level UPPER_CASE constant
-    assigned in ``package`` (a ``{module: source}`` dict) that no source in
-    ``sources`` reads, as a name or an attribute."""
+    assigned in ``package`` (a ``{module: source}`` dict), alone or in a
+    tuple of targets, that no source in ``sources`` reads, as a name or an
+    attribute."""
     read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -72,8 +73,10 @@ def unread_constants(package, sources):
                 targets = [node.target]
             else:
                 continue
-            unread += [(module, node.lineno, t.id) for t in targets
-                       if isinstance(t, ast.Name) and t.id.isupper() and t.id not in read]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+            unread += [(module, node.lineno, name) for name in names
+                       if name.isupper() and name not in read]
     return unread
 
 
@@ -84,7 +87,7 @@ def test_every_constant_is_read():
 
 def test_an_unread_constant_is_caught():
     package = {"a.py": "LIMIT = 3\nSCALE: float = 2.0\nTOL = 1e-9\n_OFFSET = 4\n"
-                       "def f(x):\n    return x * SCALE\n"}
+                       "_LOW, _HIGH = 0, 1\ndef f(x):\n    return x * SCALE + _LOW\n"}
     other = "import a\nprint(a._OFFSET)\na.LIMIT = 5\n"
     assert unread_constants(package, [*package.values(), other]) == [
-        ("a.py", 1, "LIMIT"), ("a.py", 3, "TOL")]
+        ("a.py", 1, "LIMIT"), ("a.py", 3, "TOL"), ("a.py", 5, "_HIGH")]

@@ -146,14 +146,12 @@ class TestReplicateSamples:
     def test_sample_i_is_stream_i(self, seed, replicates, dense, monkeypatch):
         monkeypatch.setattr(sampler, "CHUNK_BYTES", 16 * 21 * 2)  # two rows per block
         model = build_model(2.2, 20, dense=dense)
-        samples = [block.sample(k) for block in replicate_blocks(model, seed, replicates)
-                   for k in range(len(block.epsilon))]
-        assert len(samples) == replicates
-        for i, sample in enumerate(samples):
-            expected = generate(model, RngStream(seed=seed, stream_index=i))
-            assert (sample.seed, sample.stream_index) == (seed, i)
-            for field in ("epsilon", "series", "standardized"):
-                assert np.array_equal(getattr(sample, field), getattr(expected, field))
+        blocks = list(replicate_blocks(model, seed, replicates))
+        sizes = [len(block.series) for block in blocks]
+        assert sum(sizes) == replicates
+        assert [block.start for block in blocks] == [sum(sizes[:j]) for j in range(len(sizes))]
+        for block in blocks:
+            assert_rows_are_generate(model, seed, block)
 
     def test_first_replicate_skips_the_earlier_streams(self, monkeypatch):
         monkeypatch.setattr(sampler, "CHUNK_BYTES", 16 * 21 * 2)  # two rows per block
@@ -178,13 +176,22 @@ class TestReplicateSamples:
         model = build_model(2.2, 1018)
         assert convolution_operator(model.first_row).length == transform_length(model.rn) > model.rn
         blocks = list(replicate_blocks(model, 7, 8))
-        assert [len(block.epsilon) for block in blocks] == [6, 2]
+        assert [len(block.series) for block in blocks] == [6, 2]
         for block in blocks:
-            for k in range(len(block.epsilon)):
-                expected = generate(model, RngStream(seed=7, stream_index=block.start + k))
-                for field in ("epsilon", "series", "cosvec", "standardized"):
-                    assert np.array_equal(getattr(block.sample(k), field),
-                                          getattr(expected, field))
+            assert_rows_are_generate(model, 7, block)
+
+
+def assert_rows_are_generate(model, seed, block):
+    """Row ``k`` of the block's series, cosine and standardized arrays, and
+    of the engine's noise for its streams, equals ``generate``'s field for
+    stream ``(seed, block.start + k)`` bit for bit."""
+    stop = block.start + len(block.series)
+    rows = {"epsilon": sampler._draw_noise(sampler._StreamKeyer(seed), block.start, stop, model.rn),
+            "series": block.series, "cosvec": block.cosvec, "standardized": block.standardized}
+    for k in range(len(block.series)):
+        expected = generate(model, RngStream(seed=seed, stream_index=block.start + k))
+        for field, values in rows.items():
+            assert np.array_equal(values[k], getattr(expected, field)), (field, k)
 
 
 class TestCosineLaw:

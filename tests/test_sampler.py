@@ -268,6 +268,20 @@ class TestGenerate:
             consume()
         assert 1.0 < float(str(caught.value).rsplit(" ", 1)[1]) <= 1e3
 
+    # The block check's threshold, COSINE_TOL = 1e-12, within a factor of 2
+    # either way: a row whose largest |cosine| is 1 + 2e-12 is refused, and
+    # one at 1 + 5e-13 passes.  Each lands within an ulp of its target.
+    @pytest.mark.parametrize("overshoot, raises", [(2e-12, True), (5e-13, False)])
+    def test_cosine_tolerance_is_pinned(self, overshoot, raises):
+        epsilon = np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -1.0]])
+        series = np.array([[1.0, -3.0, 2.0], [0.5, -3.0 * (1 + overshoot), 2.0]])
+        block = functools.partial(sampler._series_block, epsilon, series, np.array([3.0, 3.0]), 4)
+        if raises:
+            with pytest.raises(InternalConsistencyError, match=r"^cosine vector left \[-1, 1\]"):
+                block()
+        else:
+            assert np.array_equal(block().series, series)
+
 
 class TestCrossRoute:
     """The route rn takes (complex when rn is 67-smooth), the padded route and

@@ -176,6 +176,27 @@ class TestBuildModel:
     def test_builds_where_the_round_trip_loses_positivity(self, beta, n):
         assert np.all(build_model(beta, n).eigenvalues > 0)
 
+    # The threshold, EIGEN_IMAG_TOL = 1e-8, within a factor of 2 either way:
+    # an imaginary part of 2e-8 times each real part is refused on both
+    # routes, and one of 5e-9 builds the model the clean transform builds.
+    @pytest.mark.parametrize("residue, raises", [(2e-8, True), (5e-9, False)])
+    def test_imaginary_tolerance_is_pinned(self, residue, raises, monkeypatch):
+        clean = {dense: build_model(2.2, 20, dense=dense).eigenvalues for dense in (False, True)}
+        transform = spectral.unitary_dft
+
+        def skewed(x, direction="forward", dense=False):
+            out = transform(x, direction, dense=dense)
+            return out.real * (1 + residue * 1j) if direction == "forward" else out
+
+        monkeypatch.setattr(spectral, "unitary_dft", skewed)
+        for dense in (False, True):
+            if raises:
+                with pytest.raises(ModelConstructionError, match="imaginary residue"):
+                    build_model(2.2, 20, dense=dense)
+            else:
+                model = build_model(2.2, 20, dense=dense)
+                assert np.array_equal(model.eigenvalues, clean[dense])
+
     def test_imaginary_residue_is_refused(self, monkeypatch, capsys):
         # The row is a real palindrome, so its forward spectrum is real to
         # rounding.  A transform that leaves an imaginary part of 1e-6 times
